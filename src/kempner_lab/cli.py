@@ -24,7 +24,7 @@ from fractions import Fraction
 from .config import Config, parse_json, parse_dict, to_json
 from .constraints import block_count_exact, count_upto, is_member
 from .errors import ConfigInvalid, KempnerLabError
-from .gadic import Numeral, from_digits, to_digits
+from .gadic import Numeral, digit_count, from_digits, to_digits
 from .harmonic import (
     DEFAULT_BUDGET,
     block_reports,
@@ -426,24 +426,20 @@ def _cmd_verify(args) -> int:
         checked += 1
     print(f"membership probed at {checked} points")
 
-    seq = constraint.sequence
-    k = 0
-    while seq.base_value(k + 1) - 1 <= n_max:
-        lo = seq.base_value(k)
-        hi = seq.base_value(k + 1) - 1
-        i = bisect.bisect_left(members, lo)
-        j = bisect.bisect_right(members, hi)
-        block = block_count_exact(constraint, k)
-        if block.exact != j - i:
-            failures.append(f"block {k}: exact count {block.exact}, oracle {j - i}")
+    checked = 0
+    for r in block_reports(constraint, digit_count(constraint.sequence, n_max) - 1):
+        if r.g_hi - 1 > n_max:
+            break
+        i = bisect.bisect_left(members, r.g_lo)
+        j = bisect.bisect_right(members, r.g_hi - 1)
+        if r.count != j - i:
+            failures.append(f"block {r.k}: exact count {r.count}, oracle {j - i}")
         if j > i:
-            total = oracle_sum(constraint, lo, hi)
-            bracket_lo = Fraction(block.exact, seq.base_value(k + 1))
-            bracket_hi = Fraction(block.exact, lo)
-            if not bracket_lo <= total <= bracket_hi:
-                failures.append(f"block {k}: oracle sum outside bracket")
-        k += 1
-    print(f"blocks fully below {n_max}: {k} checked")
+            total = oracle_sum(constraint, r.g_lo, r.g_hi - 1)
+            if not r.bracket_lo <= total <= r.bracket_hi:
+                failures.append(f"block {r.k}: oracle sum outside bracket")
+        checked += 1
+    print(f"blocks fully below {n_max}: {checked} checked")
 
     for failure in failures:
         print(f"MISMATCH: {failure}", file=sys.stderr)

@@ -15,9 +15,8 @@ from fractions import Fraction
 from . import indexsets
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
-from .gadic import QuotientSequence, make_sequence
+from .gadic import RULE_KINDS, QuotientSequence, make_sequence
 
-SEQUENCE_KINDS = ("constant", "explicit", "power", "factorial")
 INDEX_KINDS = ("all", "explicit", "arithmetic", "powers-of", "complement")
 
 
@@ -46,8 +45,8 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
     kind = doc.get("kind")
-    if kind not in SEQUENCE_KINDS:
-        raise ConfigInvalid(f"{path}.kind", f"expected one of {SEQUENCE_KINDS}, got {kind!r}")
+    if kind not in RULE_KINDS:
+        raise ConfigInvalid(f"{path}.kind", f"expected one of {RULE_KINDS}, got {kind!r}")
     bound_hint = _expect_int(doc, "bound_hint", path, required=False)
     try:
         if kind == "constant":

@@ -15,7 +15,8 @@ leading digit (which ranges over [1, d_k - 1]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import count, islice
+from typing import Iterator, Mapping, NamedTuple
 
 from . import indexsets
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     NonPositiveInput,
     OverrideOutsideIndexSet,
 )
-from .gadic import Numeral, QuotientSequence, base_value, constant, to_digits
+from .gadic import QuotientSequence, constant, to_digits
 from .indexsets import ExplicitIndices, IndexSet
 
 FINITE = "finite"
@@ -158,14 +159,6 @@ def is_member(constraint: DigitConstraint, n: int) -> bool:
     return True
 
 
-def is_member_numeral(constraint: DigitConstraint, numeral: Numeral) -> bool:
-    contains = constraint.index_set.contains
-    for i, c in enumerate(numeral.digits):
-        if contains(i) and c in constraint.forbidden_at(i):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class BlockCount:
     """Exact size of block A_k plus the two-sided product bound."""
@@ -176,18 +169,34 @@ class BlockCount:
     empty: bool
 
 
-def _allowed_count(constraint: DigitConstraint, i: int) -> int:
-    d_i = constraint.sequence.quotient(i)
-    forbidden = constraint.forbidden_at(i)
-    return d_i if forbidden is None else d_i - len(forbidden)
+class _Position(NamedTuple):
+    """Facts about digit position i: quotient d_i, place value g_i, the
+    forbidden set U_i (empty when i is unconstrained), the number of
+    allowed digits in [0, d_i - 1] and of allowed leading digits in
+    [1, d_i - 1]."""
+
+    i: int
+    d: int
+    g: int
+    forbidden: frozenset[int]
+    allowed: int
+    leading: int
 
 
-def _leading_allowed_count(constraint: DigitConstraint, k: int) -> int:
-    d_k = constraint.sequence.quotient(k)
-    forbidden = constraint.forbidden_at(k)
-    if forbidden is None:
-        return d_k - 1
-    return (d_k - 1) - len(forbidden - {0})
+def positions(constraint: DigitConstraint) -> Iterator[_Position]:
+    """Records of every digit position i = 0, 1, 2, ..., without end.
+
+    Place values are a running product, so walking to position k costs k
+    multiplications and keeps nothing behind.
+    """
+    seq = constraint.sequence
+    g = 1
+    for i in count():
+        d = seq.quotient(i)
+        u = constraint.forbidden_at(i) or frozenset()
+        allowed = d - len(u)
+        yield _Position(i, d, g, u, allowed, allowed - (0 not in u))
+        g *= d
 
 
 def block_count_exact(constraint: DigitConstraint, k: int) -> BlockCount:
@@ -199,53 +208,37 @@ def block_count_exact(constraint: DigitConstraint, k: int) -> BlockCount:
     """
     if k < 0:
         raise InputOutOfRange(f"negative block index {k}")
-    product = 1
-    exact = 1
-    for i in range(k):
-        a = _allowed_count(constraint, i)
-        product *= a
-        exact *= a
-    exact *= _leading_allowed_count(constraint, k)
-    product *= _allowed_count(constraint, k)
-    d_k = constraint.sequence.quotient(k)
-    forbidden = constraint.forbidden_at(k)
-    empty = forbidden is not None and forbidden == frozenset(range(1, d_k))
-    return BlockCount(k=k, exact=exact, product_bound=product, empty=empty)
+    below = 1
+    for p in positions(constraint):
+        if p.i == k:
+            return BlockCount(k, below * p.leading, below * p.allowed, empty=p.leading == 0)
+        below *= p.allowed
 
 
 def count_upto(constraint: DigitConstraint, n: int) -> int:
-    """Number of members <= n, by most-significant-first digit scanning.
+    """Number of members <= n, in one least-significant-first pass.
 
-    Full lower blocks are counted with the closed form; within the top
-    block, each position contributes the prefix-constrained count of
-    numerals that first drop below n there.  n itself is included iff it
-    is a member.
+    Members with fewer digits than n are counted block by block.  Within
+    n's own block, ``upto`` counts the allowed digit strings on the
+    positions seen so far whose value is at most n's low part there.
     """
     if n < 0:
         raise NonPositiveInput(f"count is defined for n >= 0, got {n}")
     if n == 0:
         return 0
-    numeral = to_digits(constraint.sequence, n)
-    digits = numeral.digits
+    digits = to_digits(constraint.sequence, n).digits
     top = len(digits) - 1
-    total = sum(block_count_exact(constraint, k).exact for k in range(top))
-
-    # Prefix products of allowed counts below each position.
-    prefix = [1] * (top + 1)
-    for i in range(1, top + 1):
-        prefix[i] = prefix[i - 1] * _allowed_count(constraint, i - 1)
-
-    for j in range(top, -1, -1):
-        c_j = digits[j]
-        forbidden = constraint.forbidden_at(j)
-        low = 1 if j == top else 0
-        below = max(c_j - low, 0)
-        if forbidden:
-            below -= sum(1 for u in forbidden if low <= u < c_j)
-        total += below * prefix[j]
-        if forbidden and c_j in forbidden:
-            return total
-    return total + (1 if is_member_numeral(constraint, numeral) else 0)
+    shorter = 0
+    upto = 1
+    below = 1  # allowed digit strings on the positions seen so far
+    for p, c in zip(positions(constraint), digits):
+        low = 1 if p.i == top else 0
+        smaller = c - low - sum(1 for u in p.forbidden if low <= u < c)
+        upto = smaller * below + (0 if c in p.forbidden else upto)
+        if p.i < top:
+            shorter += below * p.leading
+        below *= p.allowed
+    return shorter + upto
 
 
 def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterator[int]:
@@ -258,33 +251,34 @@ def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterato
         raise InputOutOfRange(f"negative block index {k}")
     if budget < 0:
         raise InputOutOfRange(f"budget must be nonnegative, got {budget}")
-    seq = constraint.sequence
-    # digit*g_i contributions per position, ascending; leading digit last
-    tables: list[list[int]] = []
-    for i in range(k):
-        g_i = base_value(seq, i)
-        forbidden = constraint.forbidden_at(i) or frozenset()
-        tables.append([c * g_i for c in range(seq.quotient(i)) if c not in forbidden])
-    g_k = base_value(seq, k)
-    forbidden = constraint.forbidden_at(k) or frozenset()
-    leading = [c * g_k for c in range(1, seq.quotient(k)) if c not in forbidden]
-
-    def emit(pos: int, acc: int) -> Iterator[int]:
-        if pos < 0:
-            yield acc
-            return
-        for contrib in tables[pos]:
-            yield from emit(pos - 1, acc + contrib)
-
+    ps = list(islice(positions(constraint), k + 1))
+    if ps[k].leading == 0:
+        return
+    # An odometer over allowed digits, position 0 turning fastest, visits
+    # the block in increasing order.
+    lowest = [next(c for c in count() if c not in p.forbidden) for p in ps[:k]]
+    digits = lowest + [next(c for c in count(1) if c not in ps[k].forbidden)]
+    value = sum(c * p.g for c, p in zip(digits, ps))
     produced = 0
-    for lead in leading:
-        for value in emit(k - 1, lead):
-            if produced == budget:
-                raise BudgetExceeded(
-                    f"block {k} exceeds the enumeration budget of {budget}", produced
-                )
-            produced += 1
-            yield value
+    while True:
+        if produced == budget:
+            raise BudgetExceeded(
+                f"block {k} exceeds the enumeration budget of {budget}", produced
+            )
+        produced += 1
+        yield value
+        for i, p in enumerate(ps):
+            c = digits[i] + 1
+            while c in p.forbidden:
+                c += 1
+            if c < p.d:
+                value += (c - digits[i]) * p.g
+                digits[i] = c
+                break
+            if i == k:
+                return
+            value -= (digits[i] - lowest[i]) * p.g
+            digits[i] = lowest[i]
 
 
 def is_finite_set(constraint: DigitConstraint) -> str:

@@ -156,10 +156,6 @@ class Numeral:
         if not self.digits:
             raise ZeroLeadingDigit("a numeral needs at least one digit")
 
-    @property
-    def top_index(self) -> int:
-        return len(self.digits) - 1
-
 
 @lru_cache(maxsize=None)
 def _quotient_prefix(seq: QuotientSequence, n: int) -> tuple[int, ...]:
@@ -234,15 +230,4 @@ def from_digits(numeral: Numeral) -> int:
 
 def digit_count(seq: QuotientSequence, n: int) -> int:
     """Number of digits of n, i.e. k + 1 where g_k <= n < g_{k+1}."""
-    if n < 1:
-        raise NonPositiveInput(f"expected a positive integer, got {n}")
-    count = 0
-    cap = 16
-    quots = _quotient_prefix(seq, cap)
-    while n:
-        if count == cap:
-            cap *= 2
-            quots = _quotient_prefix(seq, cap)
-        n //= quots[count]
-        count += 1
-    return count
+    return len(to_digits(seq, n).digits)

@@ -18,17 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count_from
+from itertools import count as _count_from, islice
 
 from . import indexsets
 from .constraints import (
     FINITE,
     UNKNOWN,
     DigitConstraint,
-    block_count_exact,
     count_upto,
     enumerate_block,
     is_finite_set,
+    positions,
 )
 from .errors import (
     BudgetExceeded,
@@ -107,15 +107,16 @@ def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
     out = []
     cum_lo = Fraction(0)
     cum_hi = Fraction(0)
-    for k in range(max_k + 1):
-        g_lo = base_value(constraint.sequence, k)
-        g_hi = base_value(constraint.sequence, k + 1)
-        n = block_count_exact(constraint, k).exact
+    below = 1
+    for p in islice(positions(constraint), max_k + 1):
+        g_hi = p.g * p.d
+        n = below * p.leading
         lo = Fraction(n, g_hi)
-        hi = Fraction(n, g_lo)
+        hi = Fraction(n, p.g)
         cum_lo += lo
         cum_hi += hi
-        out.append(BlockReport(k, g_lo, g_hi, n, lo, hi, cum_lo, cum_hi))
+        out.append(BlockReport(p.i, p.g, g_hi, n, lo, hi, cum_lo, cum_hi))
+        below *= p.allowed
     return out
 
 
@@ -205,16 +206,11 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
     for the reciprocal sum over those blocks."""
     if not 0 <= k1 <= K:
         raise InputOutOfRange(f"need 0 <= k1 <= K, got k1={k1}, K={K}")
-    contains = constraint.index_set.contains
     product = Fraction(1)
-    for i in range(k1):
-        if contains(i):
-            product *= 1 - _ratio_at(constraint, i)
     total = Fraction(0)
-    for k in range(k1, K + 1):
-        if contains(k):
-            product *= 1 - _ratio_at(constraint, k)
-        if not block_count_exact(constraint, k).empty:
+    for p in islice(positions(constraint), K + 1):
+        product *= Fraction(p.allowed, p.d)
+        if p.i >= k1 and p.leading:
             total += product
     return total / 2
 
@@ -522,9 +518,8 @@ def divergence_by_unbounded_quotients(
     assert i0 is not None
 
     prod = Fraction(1)
-    for i in range(i0):
-        if constraint.index_set.contains(i):
-            prod *= 1 - _ratio_at(constraint, i)
+    for p in islice(positions(constraint), i0):
+        prod *= Fraction(p.allowed, p.d)
     delta = prod / 2
 
     # window spot-check: explicit partial tail terms can never exceed the
@@ -539,7 +534,8 @@ def divergence_by_unbounded_quotients(
     window_sum = sum_fractions(_ratio_at(constraint, i) for i in window_members)
     if window_sum > tail_value:
         raise AssertionError(
-            f"tail certificate inconsistent: window sum {window_sum} exceeds {tail_value}"
+            f"tail certificate inconsistent: {len(window_members)} window terms "
+            f"sum to more than {tail_value}"
         )
 
     return Classification(
@@ -550,8 +546,8 @@ def divergence_by_unbounded_quotients(
             f"forbidden-ratio tail from position {i0} is {tail_value} < 1/2; "
             f"per-block reciprocal sums stay above delta = {delta} times each "
             "allowed-ratio product",
-            f"window check: {len(window_members)} explicit tail terms sum to "
-            f"{window_sum} <= {tail_value}",
+            f"window check: {len(window_members)} explicit tail terms sum to no "
+            "more than the certified tail",
         ),
     )
 

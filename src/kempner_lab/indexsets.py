@@ -140,10 +140,6 @@ def is_infinite(ix: IndexSet) -> bool:
     return not is_finite(ix)
 
 
-def members_upto(ix: IndexSet, k: int) -> list[int]:
-    return [i for i in range(k + 1) if ix.contains(i)]
-
-
 def iter_members_between(ix: IndexSet, lo: int, hi: int):
     """Members of the index set in [lo, hi], ascending, without scanning
     the whole range for sparse rules."""

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +93,27 @@ def test_blocks_check_passes(capsys):
     )
     assert code == 0
     assert "oracle agrees" in err
+
+
+def _cap_address_space_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_blocks_deep_power_rule_within_one_gib():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["blocks", "--max-k", "26", "--preset", "power2-no-zero", "--format", "csv"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kempner_lab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space_1gib,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 27
 
 
 def test_classify_presets(capsys):

@@ -1,3 +1,7 @@
+import resource
+import tracemalloc
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,13 +145,26 @@ def test_block_empty_condition():
     assert not kl.block_count_exact(c2, 3).empty
 
 
+_HAND_BUILT = {
+    # an override plus runs of adjacent forbidden digits on both sides of it
+    "override-runs": lambda: kl.make_constraint(
+        kl.constant(10), kl.AllIndices(), default={0, 1, 2, 9}, overrides={3: {5, 6, 7, 8}}
+    ),
+    # block 3 is empty, blocks 0..2 are not
+    "empty-middle-block": lambda: kl.make_constraint(
+        kl.constant(10), kl.AllIndices(), default={9}, overrides={3: set(range(1, 10))}
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "preset", ["kempner10", "power2-no-zero", "div-log", "open-boundary"]
+    "preset",
+    ["kempner10", "power2-no-zero", "div-log", "open-boundary", *_HAND_BUILT],
 )
 def test_block_counts_match_enumeration_and_oracle(preset):
     from conftest import constraint_from_preset
 
-    c = constraint_from_preset(preset)
+    c = _HAND_BUILT[preset]() if preset in _HAND_BUILT else constraint_from_preset(preset)
     k = 0
     while kl.base_value(c.sequence, k + 1) <= 20000:
         block = kl.block_count_exact(c, k)
@@ -159,7 +176,18 @@ def test_block_counts_match_enumeration_and_oracle(preset):
         assert all(g_lo <= m < g_hi for m in members)
         assert all(kl.is_member(c, m) for m in members)
         assert members == kl.oracle_members(c, g_lo, g_hi - 1)
+        # a budget of exactly |A_k| completes; one less stops at the boundary
+        assert list(kl.enumerate_block(c, k, block.exact)) == members
+        if block.exact:
+            got = []
+            with pytest.raises(BudgetExceeded) as exc_info:
+                for value in kl.enumerate_block(c, k, block.exact - 1):
+                    got.append(value)
+            assert got == members[:-1]
+            assert exc_info.value.produced == block.exact - 1
         k += 1
+    if preset == "empty-middle-block":
+        assert k > 3 and kl.block_count_exact(c, 3).empty
 
 
 def test_count_within_product_bracket_small_blocks(kempner10, power2_no_zero, div_log):
@@ -236,6 +264,54 @@ def test_enumerate_block_budget(kempner10):
 
     # exactly-at-budget streams complete without raising
     assert len(list(kl.enumerate_block(kempner10, 1, 72))) == 72
+
+
+@contextmanager
+def _address_space_cap(extra_bytes: int):
+    """Lower this process's address-space limit to its current size plus
+    extra_bytes, so an O(d_k) allocation fails fast with MemoryError
+    instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = used + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _first_five_then_budget(c):
+    got = []
+    with pytest.raises(BudgetExceeded) as exc_info:
+        for value in kl.enumerate_block(c, 30, 5):
+            got.append(value)
+    assert len(got) == 5 and exc_info.value.produced == 5
+    assert got == sorted(got) and all(kl.is_member(c, m) for m in got)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _first_five_then_budget,
+        lambda c: kl.block_count_exact(c, 30),
+        lambda c: kl.tail_lower_estimate(c, 0, 30),
+    ],
+    ids=["enumerate_block", "block_count_exact", "tail_lower_estimate"],
+)
+def test_deep_power_blocks_need_no_quotient_sized_memory(power2_no_zero, call):
+    # d_30 = 2**31 under the power rule: nothing here may allocate per digit value
+    with _address_space_cap(1 << 30):
+        tracemalloc.start()
+        try:
+            call(power2_no_zero)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_is_finite_set_certificates(kempner10, power2_no_zero, full_forbidden_base10):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,21 @@ def test_unbounded_power_with_power_positions_uses_enclosure():
     assert r.verdict == kl.DIVERGENT
     # tail from the first constrained position: 2^-2 + 2^-3 + 2^-5 + 2^-9 + ... < 1/2
     assert r.margin.threshold_index == 1
+
+
+@pytest.mark.parametrize("base", [4, 5])
+def test_classify_power_positions_within_str_digit_limit(base):
+    # the window reaches position 8192, whose ratio has a ~4,900-digit
+    # denominator; notes must not print it under the default digit limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        r = kl.classify(kl.make_constraint(kl.power(base), kl.PowerIndices(2), default={0}))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert r.verdict == kl.DIVERGENT
+    assert r.rule_fired == kl.RULE_RATIO_TAIL
+    assert any(n.startswith("window check: ") for n in r.notes)
 
 
 def test_classify_notes_record_attempts(open_boundary):
