@@ -44,6 +44,15 @@ class QuotientSequence:
     base: int = 0
     bound_hint: int | None = None
 
+    def __post_init__(self):
+        # Every digit conversion looks the sequence up in the prefix caches,
+        # so the hash of the (immutable) fields is computed once, here.
+        fields = (self.kind, self.d, self.values, self.extend, self.base, self.bound_hint)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def quotient(self, i: int) -> int:
         """Quotient d_i at position i; checks any declared bound."""
         if i < 0:
@@ -152,9 +161,14 @@ class Numeral:
     digits: tuple[int, ...]
     sequence: QuotientSequence
 
-    def __post_init__(self):
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...], sequence: QuotientSequence):
+        # Writes the fields directly: one numeral is built per conversion,
+        # and the frozen __setattr__ still rejects any later assignment.
+        if not digits:
             raise ZeroLeadingDigit("a numeral needs at least one digit")
+        fields = self.__dict__
+        fields["digits"] = digits
+        fields["sequence"] = sequence
 
 
 @lru_cache(maxsize=None)
@@ -194,17 +208,14 @@ def to_digits(seq: QuotientSequence, n: int) -> Numeral:
         raise NonPositiveInput(f"expected a positive integer, got {n}")
     digits = []
     append = digits.append
-    cap = 16
-    quots = _quotient_prefix(seq, cap)
-    i = 0
-    while n:
-        if i == cap:
-            cap *= 2
-            quots = _quotient_prefix(seq, cap)
-        n, c = divmod(n, quots[i])
-        append(c)
-        i += 1
-    return Numeral(tuple(digits), seq)
+    start, cap = 0, 16
+    while True:
+        for q in _quotient_prefix(seq, cap)[start:]:
+            append(n % q)
+            n //= q
+            if not n:
+                return Numeral(tuple(digits), seq)
+        start, cap = cap, cap * 2
 
 
 def from_digits(numeral: Numeral) -> int:
@@ -217,14 +228,14 @@ def from_digits(numeral: Numeral) -> int:
     while cap < len(digits):
         cap *= 2
     quots = _quotient_prefix(seq, cap)
-    gs = _base_prefix(seq, cap)
     total = 0
+    g = 1
     for i, c in enumerate(digits):
-        if not 0 <= c < quots[i]:
-            raise DigitOutOfRange(
-                f"digit {c} at position {i} outside [0, {quots[i] - 1}]"
-            )
-        total += c * gs[i]
+        q = quots[i]
+        if not 0 <= c < q:
+            raise DigitOutOfRange(f"digit {c} at position {i} outside [0, {q - 1}]")
+        total += c * g
+        g *= q
     return total
 
 
