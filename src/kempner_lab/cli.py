@@ -15,24 +15,24 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .config import Config, parse_json, parse_dict, to_json
+from .config import Config, _parse_delta, parse_dict, parse_json, to_json
 from .constraints import block_count_exact, count_upto, is_member
 from .errors import ConfigInvalid, KempnerLabError
 from .gadic import Numeral, digit_count, from_digits, to_digits
 from .harmonic import (
     DEFAULT_BUDGET,
+    Margin,
     block_reports,
     classify,
     density,
     partial_sum_exact,
 )
-from .oracle import oracle_members, oracle_sum
+from .oracle import block_mismatches, oracle_members
 from .presets import preset_config, preset_names
 
 BUDGET_ENV = "KEMPNER_LAB_BUDGET"
@@ -47,27 +47,52 @@ def _rat_text(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _rat_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+def _columns(record: dict):
+    """(name, value) CSV columns of one record; a Fraction X takes X_num and X_den."""
+    for key, v in record.items():
+        if isinstance(v, Fraction):
+            yield f"{key}_num", v.numerator
+            yield f"{key}_den", v.denominator
+        else:
+            yield key, v
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(args, result, *, text=None, doc=None, csv_header=None, table_header=None) -> None:
+    """Print a command's result in ``args.format``.  Every handler but
+    ``verify`` and ``preset`` prints through here.
 
-
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _print_table(header: list[str], rows: list[list]) -> None:
-    cells = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    for r in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    ``result`` is one record (a dict of field -> value) or a list of
+    records.  A Fraction field X is {"num", "den"} strings in JSON, the
+    columns X_num, X_den in CSV and num/den in a table.  Big integers come
+    in as str, so JSON keeps them as strings; None is an empty CSV cell.
+    ``text`` replaces the table, ``doc`` the JSON document, and the two
+    headers the column names of one format.
+    """
+    records = result if isinstance(result, list) else [result]
+    if args.format == "json":
+        if doc is None:
+            doc = [
+                {
+                    key: {"num": str(v.numerator), "den": str(v.denominator)} if isinstance(v, Fraction) else v
+                    for key, v in r.items()
+                }
+                for r in records
+            ]
+            doc = doc if isinstance(result, list) else doc[0]
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(csv_header or [name for name, _ in _columns(records[0])])
+        writer.writerows([v for _, v in _columns(r)] for r in records)
+    elif text is not None:
+        print(text)
+    else:
+        cells = [table_header or list(records[0])] + [
+            [_rat_text(v) if isinstance(v, Fraction) else str(v) for v in r.values()] for r in records
+        ]
+        widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+        for row in cells:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _parse_params(pairs: list[str] | None) -> dict:
@@ -133,14 +158,13 @@ def _resolve(args, config: Config, name: str, flag: str):
 
 def _cmd_encode(args) -> int:
     config = _load_config(args)
-    numeral = to_digits(config.sequence, args.n)
-    digits = list(numeral.digits)
-    if args.format == "json":
-        _print_json({"n": str(args.n), "digits": digits})
-    elif args.format == "csv":
-        _print_csv(["position", "digit"], [[i, c] for i, c in enumerate(digits)])
-    else:
-        print(",".join(map(str, digits)))
+    digits = list(to_digits(config.sequence, args.n).digits)
+    _emit(
+        args,
+        [{"position": i, "digit": c} for i, c in enumerate(digits)],
+        text=",".join(map(str, digits)),
+        doc={"n": str(args.n), "digits": digits},
+    )
     return EXIT_OK
 
 
@@ -150,11 +174,8 @@ def _cmd_decode(args) -> int:
         digits = tuple(int(p) for p in args.digits.split(","))
     except ValueError as exc:
         raise ConfigInvalid("digits", f"expected comma-separated integers, got {args.digits!r}") from exc
-    n = from_digits(Numeral(digits, config.sequence))
-    if args.format == "json":
-        _print_json({"digits": list(digits), "n": str(n)})
-    else:
-        print(n)
+    n = str(from_digits(Numeral(digits, config.sequence)))
+    _emit(args, {"n": n}, text=n, doc={"digits": list(digits), "n": n})
     return EXIT_OK
 
 
@@ -165,41 +186,22 @@ def _cmd_count(args) -> int:
         raise ConfigInvalid("count", "pass exactly one of --k or --upto")
     if args.k is not None:
         block = block_count_exact(constraint, args.k)
-        if args.format == "json":
-            _print_json(
-                {
-                    "k": block.k,
-                    "count": str(block.exact),
-                    "product_bound": str(block.product_bound),
-                    "empty": block.empty,
-                }
-            )
-        elif args.format == "csv":
-            _print_csv(
-                ["k", "count", "product_bound", "empty"],
-                [[block.k, block.exact, block.product_bound, block.empty]],
-            )
-        else:
-            print(block.exact)
+        record = {
+            "k": block.k,
+            "count": str(block.exact),
+            "product_bound": str(block.product_bound),
+            "empty": block.empty,
+        }
     else:
-        total = count_upto(constraint, args.upto)
-        if args.format == "json":
-            _print_json({"upto": str(args.upto), "count": str(total)})
-        elif args.format == "csv":
-            _print_csv(["upto", "count"], [[args.upto, total]])
-        else:
-            print(total)
+        record = {"upto": str(args.upto), "count": str(count_upto(constraint, args.upto))}
+    _emit(args, record, text=record["count"])
     return EXIT_OK
 
 
 def _cmd_member(args) -> int:
     config = _load_config(args)
-    constraint = _require_constraint(config)
-    result = is_member(constraint, args.n)
-    if args.format == "json":
-        _print_json({"n": str(args.n), "member": result})
-    else:
-        print("true" if result else "false")
+    result = is_member(_require_constraint(config), args.n)
+    _emit(args, {"n": str(args.n), "member": result}, text="true" if result else "false")
     return EXIT_OK
 
 
@@ -208,24 +210,14 @@ def _cmd_sum(args) -> int:
     constraint = _require_constraint(config)
     upto = _resolve(args, config, "upto", "--upto")
     result = partial_sum_exact(constraint, upto, _budget(args, config))
-    if args.format == "json":
-        _print_json(
-            {
-                "upto": str(upto),
-                "value": _rat_json(result.value),
-                "terms": result.terms,
-                "truncated": result.truncated,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["upto", "num", "den", "terms", "truncated"],
-            [[upto, result.value.numerator, result.value.denominator, result.terms, result.truncated]],
-        )
-    else:
-        print(_rat_text(result.value))
-        if result.truncated:
-            print(f"truncated after {result.terms} members", file=sys.stderr)
+    _emit(
+        args,
+        {"upto": str(upto), "value": result.value, "terms": result.terms, "truncated": result.truncated},
+        text=_rat_text(result.value),
+        csv_header=["upto", "num", "den", "terms", "truncated"],
+    )
+    if result.truncated:
+        print(f"truncated after {result.terms} members", file=sys.stderr)
     return EXIT_TRUNCATED if result.truncated else EXIT_OK
 
 
@@ -252,75 +244,29 @@ def _cmd_blocks(args) -> int:
     config = _load_config(args)
     constraint = _require_constraint(config)
     reports = block_reports(constraint, _resolve(args, config, "max_k", "--max-k"))
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "k": r.k,
-                    "g_k": str(r.g_lo),
-                    "g_k1": str(r.g_hi),
-                    "count": str(r.count),
-                    "bracket_lo": _rat_json(r.bracket_lo),
-                    "bracket_hi": _rat_json(r.bracket_hi),
-                    "cum_lo": _rat_json(r.cumulative_lo),
-                    "cum_hi": _rat_json(r.cumulative_hi),
-                }
-                for r in reports
-            ]
-        )
-    elif args.format == "csv":
-        rows = [
-            [
-                r.k,
-                r.g_lo,
-                r.g_hi,
-                r.count,
-                r.bracket_lo.numerator,
-                r.bracket_lo.denominator,
-                r.bracket_hi.numerator,
-                r.bracket_hi.denominator,
-                r.cumulative_lo.numerator,
-                r.cumulative_lo.denominator,
-                r.cumulative_hi.numerator,
-                r.cumulative_hi.denominator,
-            ]
+    _emit(
+        args,
+        [
+            {
+                "k": r.k,
+                "g_k": str(r.g_lo),
+                "g_k1": str(r.g_hi),
+                "count": str(r.count),
+                "bracket_lo": r.bracket_lo,
+                "bracket_hi": r.bracket_hi,
+                "cum_lo": r.cumulative_lo,
+                "cum_hi": r.cumulative_hi,
+            }
             for r in reports
-        ]
-        _print_csv(BLOCK_CSV_HEADER, rows)
-    else:
-        _print_table(
-            ["k", "g_k", "g_k+1", "count", "bracket_lo", "bracket_hi", "cum_lo", "cum_hi"],
-            [
-                [
-                    r.k,
-                    r.g_lo,
-                    r.g_hi,
-                    r.count,
-                    _rat_text(r.bracket_lo),
-                    _rat_text(r.bracket_hi),
-                    _rat_text(r.cumulative_lo),
-                    _rat_text(r.cumulative_hi),
-                ]
-                for r in reports
-            ],
-        )
+        ],
+        table_header=["k", "g_k", "g_k+1", "count", "bracket_lo", "bracket_hi", "cum_lo", "cum_hi"],
+    )
     if args.check:
-        for r in reports:
-            if r.g_hi - 1 > CHECK_CAP:
-                break
-            members = oracle_members(constraint, r.g_lo, r.g_hi - 1)
-            if len(members) != r.count:
-                print(
-                    f"check failed at k={r.k}: oracle found {len(members)} members, "
-                    f"fast path reports {r.count}",
-                    file=sys.stderr,
-                )
-                return EXIT_MISMATCH
-            if members:
-                total = oracle_sum(constraint, r.g_lo, r.g_hi - 1)
-                if not r.bracket_lo <= total <= r.bracket_hi:
-                    print(f"check failed at k={r.k}: oracle sum outside bracket", file=sys.stderr)
-                    return EXIT_MISMATCH
+        failures = block_mismatches(constraint, [r for r in reports if r.g_hi - 1 <= CHECK_CAP])
+        for failure in failures:
+            print(f"check failed: {failure}", file=sys.stderr)
+        if failures:
+            return EXIT_MISMATCH
         print("check: oracle agrees on all verified blocks", file=sys.stderr)
     return EXIT_OK
 
@@ -328,50 +274,33 @@ def _cmd_blocks(args) -> int:
 def _cmd_classify(args) -> int:
     config = _load_config(args)
     constraint = _require_constraint(config)
-    delta = args.delta if args.delta is not None else config.delta
+    delta = _parse_delta(args.delta, "delta") if args.delta is not None else config.delta
     result = classify(constraint, delta=delta)
-    margin = result.margin
-    if args.format == "json":
-        doc = {
-            "verdict": result.verdict,
-            "rule_fired": result.rule_fired,
-            "notes": list(result.notes),
-        }
-        if margin is not None:
-            doc["margin"] = {
-                "delta": str(margin.delta) if margin.delta is not None else None,
-                "threshold_label": margin.threshold_label,
-                "threshold_index": margin.threshold_index,
-                "value": str(margin.value) if margin.value is not None else None,
-                "window": margin.window,
-            }
-        _print_json(doc)
-    elif args.format == "csv":
-        _print_csv(
-            ["verdict", "rule_fired", "delta", "threshold_label", "threshold_index"],
-            [
-                [
-                    result.verdict,
-                    result.rule_fired or "",
-                    str(margin.delta) if margin and margin.delta is not None else "",
-                    margin.threshold_label if margin else "",
-                    margin.threshold_index if margin and margin.threshold_index is not None else "",
-                ]
-            ],
-        )
-    else:
-        print(f"verdict: {result.verdict}")
-        if result.rule_fired:
-            print(f"rule: {result.rule_fired}")
-        if margin is not None:
-            if margin.delta is not None:
-                print(f"delta: {margin.delta}")
-            if margin.threshold_index is not None:
-                print(f"{margin.threshold_label}: {margin.threshold_index}")
-            if margin.value is not None:
-                print(f"margin: {margin.value}")
-        for note in result.notes:
-            print(f"note: {note}")
+    margin = result.margin or Margin()
+    fields = {
+        "delta": None if margin.delta is None else str(margin.delta),
+        "threshold_label": margin.threshold_label,
+        "threshold_index": margin.threshold_index,
+        "value": None if margin.value is None else str(margin.value),
+        "window": margin.window,
+    }
+    doc = {"verdict": result.verdict, "rule_fired": result.rule_fired, "notes": list(result.notes)}
+    if result.margin is not None:
+        doc["margin"] = fields
+    lines = [
+        ("verdict", result.verdict),
+        ("rule", result.rule_fired),
+        ("delta", fields["delta"]),
+        (margin.threshold_label, margin.threshold_index),
+        ("margin", fields["value"]),
+    ] + [("note", note) for note in result.notes]
+    _emit(
+        args,
+        {"verdict": result.verdict, "rule_fired": result.rule_fired}
+        | {key: fields[key] for key in ("delta", "threshold_label", "threshold_index")},
+        text="\n".join(f"{label}: {value}" for label, value in lines if value is not None),
+        doc=doc,
+    )
     return EXIT_OK
 
 
@@ -384,16 +313,11 @@ def _cmd_density(args) -> int:
         raise ConfigInvalid("at", f"expected comma-separated integers, got {args.at!r}") from exc
     if not points:
         raise ConfigInvalid("at", "at least one evaluation point is required")
-    values = [(n, density(constraint, n)) for n in points]
-    if args.format == "json":
-        _print_json([{"n": str(n), "density": _rat_json(v)} for n, v in values])
-    elif args.format == "csv":
-        _print_csv(
-            ["n", "num", "den"],
-            [[n, v.numerator, v.denominator] for n, v in values],
-        )
-    else:
-        _print_table(["n", "density"], [[n, _rat_text(v)] for n, v in values])
+    _emit(
+        args,
+        [{"n": str(n), "density": density(constraint, n)} for n in points],
+        csv_header=["n", "num", "den"],
+    )
     return EXIT_OK
 
 
@@ -410,36 +334,25 @@ def _cmd_verify(args) -> int:
     print(f"members up to {n_max}: oracle {len(members)}, fast path {fast_total}")
 
     step = max(1, n_max // 64)
-    for x in range(step, n_max + 1, step):
+    points = range(step, n_max + 1, step)
+    for x in points:
         want = bisect.bisect_right(members, x)
         got = count_upto(constraint, x)
         if got != want:
             failures.append(f"count_upto({x}) = {got}, oracle running count {want}")
-    print(f"running counts checked at {len(range(step, n_max + 1, step))} points")
+    print(f"running counts checked at {len(points)} points")
 
     member_set = set(members)
-    probe = max(1, n_max // 512)
-    checked = 0
-    for x in range(1, n_max + 1, probe):
+    probes = range(1, n_max + 1, max(1, n_max // 512))
+    for x in probes:
         if is_member(constraint, x) != (x in member_set):
             failures.append(f"is_member({x}) disagrees with the oracle")
-        checked += 1
-    print(f"membership probed at {checked} points")
+    print(f"membership probed at {len(probes)} points")
 
-    checked = 0
-    for r in block_reports(constraint, digit_count(constraint.sequence, n_max) - 1):
-        if r.g_hi - 1 > n_max:
-            break
-        i = bisect.bisect_left(members, r.g_lo)
-        j = bisect.bisect_right(members, r.g_hi - 1)
-        if r.count != j - i:
-            failures.append(f"block {r.k}: exact count {r.count}, oracle {j - i}")
-        if j > i:
-            total = oracle_sum(constraint, r.g_lo, r.g_hi - 1)
-            if not r.bracket_lo <= total <= r.bracket_hi:
-                failures.append(f"block {r.k}: oracle sum outside bracket")
-        checked += 1
-    print(f"blocks fully below {n_max}: {checked} checked")
+    reports = block_reports(constraint, digit_count(constraint.sequence, n_max) - 1)
+    blocks = [r for r in reports if r.g_hi - 1 <= n_max]
+    failures += block_mismatches(constraint, blocks)
+    print(f"blocks fully below {n_max}: {len(blocks)} checked")
 
     for failure in failures:
         print(f"MISMATCH: {failure}", file=sys.stderr)

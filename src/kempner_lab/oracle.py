@@ -10,6 +10,7 @@ is explicitly not a goal; a hard range cap keeps runs bounded.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,3 +96,27 @@ def oracle_report(constraint: DigitConstraint, lo: int, hi: int) -> OracleReport
         total=_half_sum(members, 0, len(members)),
         checksum=digest,
     )
+
+
+def block_mismatches(constraint: DigitConstraint, blocks) -> list[str]:
+    """Check claimed per-block counts and reciprocal-sum brackets.
+
+    Each block is plain data with fields ``k``, ``g_lo``, ``g_hi``,
+    ``count``, ``bracket_lo`` and ``bracket_hi`` (a BlockReport fits), the
+    block being the integers in [g_lo, g_hi).  One oracle scan covers every
+    block; each block's exact sum is taken from that member list.  Returns
+    one message per disagreement.
+    """
+    if not blocks:
+        return []
+    members = oracle_members(
+        constraint, min(b.g_lo for b in blocks), max(b.g_hi for b in blocks) - 1
+    )
+    out = []
+    for b in blocks:
+        i, j = bisect_left(members, b.g_lo), bisect_left(members, b.g_hi)
+        if b.count != j - i:
+            out.append(f"block {b.k}: exact count {b.count}, oracle {j - i}")
+        if not b.bracket_lo <= _half_sum(members, i, j) <= b.bracket_hi:
+            out.append(f"block {b.k}: oracle sum outside bracket")
+    return out

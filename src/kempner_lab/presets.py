@@ -10,9 +10,16 @@ from __future__ import annotations
 from .errors import ConfigInvalid
 
 
+def _int_param(params: dict, name: str, default: int) -> int:
+    try:
+        return int(params.get(name, default))
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"params.{name}", f"expected an integer, got {params[name]!r}")
+
+
 def _base_g_no_c(params: dict) -> dict:
-    g = int(params.get("g", 12))
-    c = int(params.get("c", 0))
+    g = _int_param(params, "g", 12)
+    c = _int_param(params, "c", 0)
     return {
         "sequence": {"kind": "constant", "d": g, "bound_hint": g},
         "constraint": {
@@ -34,6 +41,8 @@ def _fixed_bits(params: dict) -> dict:
             bits[int(pos)] = int(val)
         except ValueError:
             raise ConfigInvalid("params.bits", f"expected entries like '3:0', got {piece!r}")
+        if int(val) not in (0, 1):
+            raise ConfigInvalid("params.bits", f"a pinned bit must be 0 or 1, got {piece!r}")
     if not bits:
         raise ConfigInvalid("params.bits", "at least one pinned bit is required")
     return {

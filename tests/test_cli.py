@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +99,47 @@ def test_blocks_check_passes(capsys):
     assert "oracle agrees" in err
 
 
+def _tamper_first_block(monkeypatch):
+    real = cli.block_reports
+
+    def tampered(constraint, max_k):
+        first = real(constraint, 0)[0]
+        return [replace(first, count=first.count + 1)]
+
+    monkeypatch.setattr(cli, "block_reports", tampered)
+
+
+def test_verify_mismatch_exit_3(capsys, monkeypatch):
+    _tamper_first_block(monkeypatch)
+    code, out, err = run(capsys, "verify", "--upto", "1000", "--preset", "kempner10")
+    assert code == cli.EXIT_MISMATCH == 3
+    assert err == "MISMATCH: block 0: exact count 9, oracle 8\n"
+    assert "agree" not in out
+
+
+def test_blocks_check_mismatch_exit_3(capsys, monkeypatch):
+    _tamper_first_block(monkeypatch)
+    code, _, err = run(capsys, "blocks", "--max-k", "0", "--preset", "kempner10", "--check")
+    assert code == 3
+    assert err == "check failed: block 0: exact count 9, oracle 8\n"
+
+
+def test_blocks_check_reports_every_mismatching_block(capsys, monkeypatch):
+    real = cli.block_reports
+    monkeypatch.setattr(
+        cli,
+        "block_reports",
+        lambda c, max_k: [replace(r, count=r.count + 1) for r in real(c, max_k)],
+    )
+    code, _, err = run(capsys, "blocks", "--max-k", "2", "--preset", "kempner10", "--check")
+    assert code == 3
+    assert err.splitlines() == [
+        "check failed: block 0: exact count 9, oracle 8",
+        "check failed: block 1: exact count 73, oracle 72",
+        "check failed: block 2: exact count 649, oracle 648",
+    ]
+
+
 def _cap_address_space_1gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -144,6 +189,13 @@ def test_classify_delta_flag_overrides(capsys):
     )
     doc = json.loads(out)
     assert doc["margin"]["delta"] == "1/4"
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "nan"])
+def test_classify_bad_delta_exits_1(capsys, bad):
+    code, out, err = run(capsys, "classify", "--preset", "div-log", "--delta", bad)
+    assert code == cli.EXIT_INVALID
+    assert out == "" and err.startswith("error: delta: ")
 
 
 def test_density_output(capsys):
@@ -212,6 +264,85 @@ def test_preset_params(capsys):
         capsys, "encode", "5", "--preset", "fixed-bits", "--param", "bits=0:1,2:1"
     )
     assert code == 0 and out.strip() == "1,0,1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["member", "5", "--preset", "base-g-no-c", "--param", "g=abc"], "params.g: expected an integer"),
+        (["member", "5", "--preset", "base-g-no-c", "--param", "c=abc"], "params.c: expected an integer"),
+        (
+            ["encode", "5", "--preset", "fixed-bits", "--param", "bits=0:2"],
+            "params.bits: a pinned bit must be 0 or 1",
+        ),
+    ],
+)
+def test_bad_preset_params_exit_1(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith(f"error: {message}")
+
+
+def test_member_and_decode_csv(capsys):
+    code, out, _ = run(capsys, "member", "1914", "--preset", "kempner10", "--format", "csv")
+    assert code == 0 and out == "n,member\n1914,False\n"
+    code, out, _ = run(capsys, "decode", "9,0,4", "--preset", "kempner10", "--format", "csv")
+    assert code == 0 and out == "n\n409\n"
+
+
+def _value(v):
+    if isinstance(v, dict):
+        return Fraction(int(v["num"]), int(v["den"]))
+    if v in ("True", "False"):
+        return v == "True"
+    return int(v) if isinstance(v, str) else v
+
+
+def _csv_records(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    out = []
+    for row in rows[1:]:
+        cells = iter(zip(rows[0], row))
+        record = []
+        for name, cell in cells:
+            if name.endswith("num"):
+                den_name, den = next(cells)
+                assert den_name.endswith("den")
+                record.append(Fraction(int(cell), int(den)))
+            else:
+                record.append(_value(cell))
+        out.append(record)
+    return out
+
+
+def _json_records(doc):
+    return [[_value(v) for v in r.values()] for r in (doc if isinstance(doc, list) else [doc])]
+
+
+@pytest.mark.parametrize("preset", ["kempner10", "power2-no-zero"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--k", "6"],
+        ["count", "--upto", "123456789"],
+        ["sum", "--upto", "300"],
+        ["density", "--at", "9,999,123456"],
+        ["blocks", "--max-k", "5"],
+        ["encode", "123456789"],
+    ],
+    ids=["count-k", "count-upto", "sum", "density", "blocks", "encode"],
+)
+def test_csv_and_json_carry_the_same_values(capsys, argv, preset):
+    code, csv_out, _ = run(capsys, *argv, "--preset", preset, "--format", "csv")
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--preset", preset, "--format", "json")
+    assert code == 0
+    doc = json.loads(json_out)
+    if argv[0] == "encode":
+        doc = [{"position": i, "digit": c} for i, c in enumerate(doc["digits"])]
+    # JSON sorts its keys and CSV renames rational columns, so compare each
+    # record's values as a multiset; repr keeps True apart from 1
+    key = lambda record: sorted(map(repr, record))
+    assert list(map(key, _csv_records(csv_out))) == list(map(key, _json_records(doc)))
 
 
 def test_sum_machine_formats(capsys):

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import kempner_lab as kl
 from kempner_lab.errors import RangeTooLarge
+from kempner_lab.oracle import block_mismatches
 
 
 def test_oracle_members_kempner(kempner10):
@@ -60,3 +62,16 @@ def test_oracle_agrees_with_fast_paths_on_blocks(kempner10, power2_no_zero, div_
             if members:
                 assert report.bracket_lo <= kl.oracle_sum(c, g_lo, g_hi - 1) <= report.bracket_hi
             k += 1
+
+
+def test_block_mismatches(kempner10, power2_no_zero, div_log):
+    for c in (kempner10, power2_no_zero, div_log):
+        assert block_mismatches(c, kl.block_reports(c, 3)) == []
+    assert block_mismatches(kempner10, []) == []
+    reports = kl.block_reports(kempner10, 3)
+    reports[1] = replace(reports[1], count=reports[1].count - 1)
+    reports[2] = replace(reports[2], bracket_hi=reports[2].bracket_lo)
+    assert block_mismatches(kempner10, reports) == [
+        "block 1: exact count 71, oracle 72",
+        "block 2: oracle sum outside bracket",
+    ]
