@@ -59,7 +59,7 @@ def _columns(record: dict):
 
 def _emit(args, result, *, text=None, doc=None, csv_header=None, table_header=None) -> None:
     """Print a command's result in ``args.format``.  Every handler but
-    ``verify`` and ``preset`` prints through here.
+    ``preset`` prints through here.
 
     ``result`` is one record (a dict of field -> value) or a list of
     records.  A Fraction field X is {"num", "den"} strings in JSON, the
@@ -326,40 +326,53 @@ def _cmd_verify(args) -> int:
     constraint = _require_constraint(config)
     n_max = _resolve(args, config, "upto", "--upto")
     members = oracle_members(constraint, 1, n_max)
-    failures = []
+    records, lines, failures = [], [], []
+
+    def checked(check, points, found, line):
+        records.append({"check": check, "points": points, "mismatches": len(found)})
+        lines.append(line)
+        failures.extend(found)
 
     fast_total = count_upto(constraint, n_max)
+    found = []
     if fast_total != len(members):
-        failures.append(f"count_upto({n_max}) = {fast_total}, oracle found {len(members)}")
-    print(f"members up to {n_max}: oracle {len(members)}, fast path {fast_total}")
+        found.append(f"count_upto({n_max}) = {fast_total}, oracle found {len(members)}")
+    checked("count_upto", 1, found, f"members up to {n_max}: oracle {len(members)}, fast path {fast_total}")
 
     step = max(1, n_max // 64)
     points = range(step, n_max + 1, step)
+    found = []
     for x in points:
         want = bisect.bisect_right(members, x)
         got = count_upto(constraint, x)
         if got != want:
-            failures.append(f"count_upto({x}) = {got}, oracle running count {want}")
-    print(f"running counts checked at {len(points)} points")
+            found.append(f"count_upto({x}) = {got}, oracle running count {want}")
+    checked("running_counts", len(points), found, f"running counts checked at {len(points)} points")
 
     member_set = set(members)
     probes = range(1, n_max + 1, max(1, n_max // 512))
-    for x in probes:
-        if is_member(constraint, x) != (x in member_set):
-            failures.append(f"is_member({x}) disagrees with the oracle")
-    print(f"membership probed at {len(probes)} points")
+    found = [
+        f"is_member({x}) disagrees with the oracle"
+        for x in probes
+        if is_member(constraint, x) != (x in member_set)
+    ]
+    checked("membership", len(probes), found, f"membership probed at {len(probes)} points")
 
     reports = block_reports(constraint, digit_count(constraint.sequence, n_max) - 1)
     blocks = [r for r in reports if r.g_hi - 1 <= n_max]
-    failures += block_mismatches(constraint, blocks)
-    print(f"blocks fully below {n_max}: {len(blocks)} checked")
+    checked(
+        "blocks",
+        len(blocks),
+        block_mismatches(constraint, blocks),
+        f"blocks fully below {n_max}: {len(blocks)} checked",
+    )
 
+    if not failures:
+        lines.append("verify: oracle and fast paths agree")
+    _emit(args, records, text="\n".join(lines))
     for failure in failures:
         print(f"MISMATCH: {failure}", file=sys.stderr)
-    if failures:
-        return EXIT_MISMATCH
-    print("verify: oracle and fast paths agree")
-    return EXIT_OK
+    return EXIT_MISMATCH if failures else EXIT_OK
 
 
 def _cmd_preset(args) -> int:

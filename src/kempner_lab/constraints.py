@@ -40,6 +40,10 @@ UNKNOWN = "unknown"
 # when first touched.
 _VALIDATION_HORIZON = 64
 
+# U_i of every unconstrained row in is_member's cache; one shared object,
+# since an empty frozenset is not interned and costs 216 bytes.
+_UNCONSTRAINED = frozenset()
+
 
 @dataclass(frozen=True)
 class DigitConstraint:
@@ -47,6 +51,13 @@ class DigitConstraint:
     index_set: IndexSet
     default_forbidden: frozenset[int] | None
     overrides: tuple[tuple[int, frozenset[int]], ...] = ()
+
+    def __post_init__(self):
+        # Rows (d_i, U_i) of the positions is_member has read so far, U_i
+        # empty where i is unconstrained.  Rows are added one position at a
+        # time, so a position is validated only when a call first reaches
+        # it.  Not a field: equality, hash and repr ignore it.
+        object.__setattr__(self, "_rows", ())
 
     def forbidden_at(self, i: int) -> frozenset[int] | None:
         """Forbidden set at position i, or None when i is unconstrained."""
@@ -151,12 +162,29 @@ def is_member(constraint: DigitConstraint, n: int) -> bool:
     """Whether every constrained digit of n avoids its forbidden set."""
     if n < 1:
         raise NonPositiveInput(f"membership is defined for positive integers, got {n}")
-    numeral = to_digits(constraint.sequence, n)
-    contains = constraint.index_set.contains
-    for i, c in enumerate(numeral.digits):
-        if contains(i) and c in constraint.forbidden_at(i):
+    rows = constraint._rows
+    for d, u in rows:
+        n, c = divmod(n, d)
+        if c in u:
             return False
-    return True
+        if not n:
+            return True
+    # n reaches past every row built so far.  New rows go into a new tuple
+    # that replaces the old one when the call ends, never appended in place:
+    # threads that grow the rows at once each publish a correct prefix.
+    seq = constraint.sequence
+    new = []
+    try:
+        for i in count(len(rows)):
+            d, u = seq.quotient(i), constraint.forbidden_at(i) or _UNCONSTRAINED
+            new.append((d, u))
+            n, c = divmod(n, d)
+            if c in u:
+                return False
+            if not n:
+                return True
+    finally:
+        object.__setattr__(constraint, "_rows", rows + tuple(new))
 
 
 @dataclass(frozen=True)

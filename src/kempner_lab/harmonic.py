@@ -243,9 +243,7 @@ def _first_k_holding(start: int, holds) -> int:
     return lo
 
 
-def _certify_convergence(
-    growth: Growth, d: int, delta: Fraction, index_count
-) -> int | None:
+def _certify_convergence(growth: Growth, d: int, delta: Fraction) -> int | None:
     """Index from which count(k) >= (1+delta) * ln k / ln(d/(d-1)) is
     certified, or None."""
     ln_ratio = math.log(d / (d - 1))
@@ -266,9 +264,7 @@ def _certify_convergence(
     return None
 
 
-def _certify_divergence(
-    growth: Growth, d: int, delta: Fraction, index_count
-) -> int | None:
+def _certify_divergence(growth: Growth, d: int, delta: Fraction) -> int | None:
     """Index from which count(k) <= (1-delta) * ln k / ln d is certified,
     or None."""
     if delta >= 1:
@@ -325,7 +321,7 @@ def convergence_by_bounded_quotients(
     candidates = _delta_candidates(delta)
 
     for f in candidates:
-        k0 = _certify_convergence(growth, d, f, index_count)
+        k0 = _certify_convergence(growth, d, f)
         if k0 is not None:
             coeff = float(1 + f) / math.log(d / (d - 1))
             slack = _window_slack(
@@ -340,7 +336,7 @@ def convergence_by_bounded_quotients(
                 ),
             )
     for f in candidates:
-        k1 = _certify_divergence(growth, d, f, index_count)
+        k1 = _certify_divergence(growth, d, f)
         if k1 is not None:
             coeff = float(1 - f) / math.log(d)
             slack = _window_slack(

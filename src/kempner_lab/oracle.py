@@ -71,10 +71,11 @@ def oracle_members(constraint: DigitConstraint, lo: int, hi: int) -> list[int]:
 
 def _half_sum(members: list[int], lo: int, hi: int) -> Fraction:
     if hi - lo <= 64:
-        total = Fraction(0)
+        # num/den in plain ints, reduced once: each Fraction + would take a gcd.
+        num, den = 0, 1
         for a in members[lo:hi]:
-            total += Fraction(1, a)
-        return total
+            num, den = num * a + den, den * a
+        return Fraction(num, den)
     mid = (lo + hi) // 2
     return _half_sum(members, lo, mid) + _half_sum(members, mid, hi)
 

@@ -214,6 +214,41 @@ def test_verify_agrees(capsys):
     assert "agree" in out
 
 
+def test_verify_formats_carry_the_same_records(capsys):
+    argv = ["verify", "--upto", "3000", "--preset", "kempner10"]
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+    assert table == (
+        "members up to 3000: oracle 2187, fast path 2187\n"
+        "running counts checked at 65 points\n"
+        "membership probed at 600 points\n"
+        "blocks fully below 3000: 3 checked\n"
+        "verify: oracle and fast paths agree\n"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [
+        {"check": r["check"], "points": int(r["points"]), "mismatches": int(r["mismatches"])}
+        for r in csv.DictReader(io.StringIO(out))
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == rows
+    assert [r["check"] for r in rows] == ["count_upto", "running_counts", "membership", "blocks"]
+    assert [r["points"] for r in rows] == [1, 65, 600, 3]
+    assert all(r["mismatches"] == 0 for r in rows)
+
+
+def test_verify_mismatch_in_every_format(capsys, monkeypatch):
+    _tamper_first_block(monkeypatch)
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "verify", "--upto", "1000", "--preset", "kempner10", "--format", fmt)
+        assert code == 3
+        assert err == "MISMATCH: block 0: exact count 9, oracle 8\n"
+        blocks = json.loads(out)[-1] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))[-1]
+        assert (blocks["check"], int(blocks["mismatches"])) == ("blocks", 1)
+
+
 def test_verify_each_preset_small(capsys):
     for name in preset_names():
         code, out, _ = run(capsys, "verify", "--upto", "2000", "--preset", name)

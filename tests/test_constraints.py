@@ -19,15 +19,10 @@ from kempner_lab.errors import (
 
 
 def _decoded_ok(constraint, n):
-    """Reference membership: re-decode digits here and apply the raw rule."""
-    seq = constraint.sequence
-    i = 0
-    while n:
-        n, c = divmod(n, seq.quotient(i))
-        if constraint.index_set.contains(i) and c in constraint.forbidden_at(i):
-            return False
-        i += 1
-    return True
+    """Reference membership: decode n with to_digits and test each digit
+    against forbidden_at."""
+    digits = kl.to_digits(constraint.sequence, n).digits
+    return not any(c in (constraint.forbidden_at(i) or ()) for i, c in enumerate(digits))
 
 
 def test_make_constraint_kempner(kempner10):
@@ -117,6 +112,100 @@ def test_membership_matches_direct_decode(preset):
     c = constraint_from_preset(preset)
     for n in range(1, 5000):
         assert kl.is_member(c, n) == _decoded_ok(c, n)
+
+
+# One constraint per quotient rule and index-set kind, each with overrides.
+# They are shared by every example, so later examples run against rows that
+# earlier ones have already built.
+_WALK_CONSTRAINTS = [
+    kl.make_constraint(kl.constant(10), kl.AllIndices(), default={9}, overrides={0: {0, 5}, 3: {1, 2, 3}}),
+    kl.make_constraint(
+        kl.explicit([3, 5, 2], extend="cycle"), kl.ArithmeticIndices(1, 2), default={1}, overrides={1: {0, 4}}
+    ),
+    kl.make_constraint(kl.power(3), kl.PowerIndices(2), default={0}, overrides={4: {1, 2, 80}}),
+    kl.make_constraint(
+        kl.factorial(),
+        kl.ComplementIndices(kl.ExplicitIndices(frozenset({0, 2, 5}))),
+        default={0},
+        overrides={1: {2}},
+    ),
+    kl.make_constraint(
+        kl.explicit([7, 4]), kl.ExplicitIndices(frozenset({0, 1, 6, 40})), default={3}, overrides={6: {0, 1}}
+    ),
+]
+
+
+@given(which=st.integers(0, len(_WALK_CONSTRAINTS) - 1), n=st.integers(1, 2**400))
+@settings(max_examples=400)
+def test_is_member_matches_definition(which, n):
+    c = _WALK_CONSTRAINTS[which]
+    assert kl.is_member(c, n) == _decoded_ok(c, n)
+
+
+def test_is_member_validates_a_far_position_on_every_call():
+    # Position 70 has quotient 3, so the default {5} is invalid there only.
+    seq = kl.explicit([10] * 70 + [3], extend="cycle")
+    c = kl.make_constraint(seq, kl.AllIndices(), default={5})
+    assert kl.is_member(c, 1234)
+    assert kl.is_member(c, 10**69 + 1)  # 70 digits: stops before position 70
+    for _ in range(3):
+        with pytest.raises(DigitOutOfRange, match="position 70"):
+            kl.is_member(c, 10**71 + 1)
+    assert not kl.is_member(c, 5 * 10**69 + 10**71)  # forbidden digit before 70
+    assert kl.is_member(c, 10**69 + 1)
+
+
+def test_used_constraint_equals_unused():
+    def build():
+        return kl.make_constraint(kl.power(2), kl.AllIndices(), default={0}, overrides={2: {1, 3}})
+
+    used, unused = build(), build()
+    for n in range(1, 2000):
+        kl.is_member(used, n)
+    kl.is_member(used, 2**300 + 1)
+    assert used == unused
+    assert hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+
+
+def test_is_member_threads_share_one_constraint():
+    import random
+    import sys
+    import threading
+
+    def build():
+        return kl.make_constraint(kl.factorial(), kl.AllIndices(), default={1}, overrides={3: {0, 2}})
+
+    rng = random.Random(5)
+    # Rising inputs, so every thread keeps adding rows while the others read.
+    inputs = [sorted(rng.randrange(1, 2 ** rng.randint(1, 400)) for _ in range(200)) for _ in range(4)]
+    reference = build()
+    want = [[_decoded_ok(reference, n) for n in ns] for ns in inputs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            c = build()
+            barrier = threading.Barrier(len(inputs))
+            got = [None] * len(inputs)
+
+            def work(j):
+                barrier.wait(timeout=60)
+                got[j] = [kl.is_member(c, n) for n in inputs[j]]
+
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            assert list(c._rows) == [
+                (c.sequence.quotient(i), c.forbidden_at(i) or frozenset()) for i in range(len(c._rows))
+            ]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_block_count_examples(kempner10, power2_no_zero):

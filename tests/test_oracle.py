@@ -5,7 +5,7 @@ import pytest
 
 import kempner_lab as kl
 from kempner_lab.errors import RangeTooLarge
-from kempner_lab.oracle import block_mismatches
+from kempner_lab.oracle import _half_sum, block_mismatches
 
 
 def test_oracle_members_kempner(kempner10):
@@ -75,3 +75,14 @@ def test_block_mismatches(kempner10, power2_no_zero, div_log):
         "block 1: exact count 71, oracle 72",
         "block 2: oracle sum outside bracket",
     ]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 0), (5, 5), (0, 1), (7, 8), (0, 64), (3, 67), (0, 65), (10, 75), (0, 300)]
+)
+def test_half_sum_equals_plain_fraction_sum(kempner10, lo, hi):
+    members = kl.oracle_members(kempner10, 1, 400)
+    plain = Fraction(0)
+    for a in members[lo:hi]:
+        plain += Fraction(1, a)
+    assert _half_sum(members, lo, hi) == plain
