@@ -262,7 +262,9 @@ def _cmd_blocks(args) -> int:
         table_header=["k", "g_k", "g_k+1", "count", "bracket_lo", "bracket_hi", "cum_lo", "cum_hi"],
     )
     if args.check:
-        failures = block_mismatches(constraint, [r for r in reports if r.g_hi - 1 <= CHECK_CAP])
+        checked = [r for r in reports if r.g_hi - 1 <= CHECK_CAP]
+        members = oracle_members(constraint, 1, checked[-1].g_hi - 1) if checked else []
+        failures = block_mismatches(members, checked)
         for failure in failures:
             print(f"check failed: {failure}", file=sys.stderr)
         if failures:
@@ -363,7 +365,7 @@ def _cmd_verify(args) -> int:
     checked(
         "blocks",
         len(blocks),
-        block_mismatches(constraint, blocks),
+        block_mismatches(members, blocks),
         f"blocks fully below {n_max}: {len(blocks)} checked",
     )
 

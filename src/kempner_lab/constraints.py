@@ -10,13 +10,21 @@ constraint with one uniform set costs O(1) space.
 Members with exactly k+1 digits form the block A_k living in
 [g_k, g_{k+1} - 1]; blocks are counted exactly by splitting off the
 leading digit (which ranges over [1, d_k - 1]).
+
+Every pass reads one row per digit position, (d_i, U_i, allowed, leading):
+the quotient, the forbidden set (empty when i is unconstrained), and the
+numbers of allowed digits in [0, d_i - 1] and of allowed leading digits in
+[1, d_i - 1].  ``_row`` is the only code that computes them.  Each
+constraint caches its rows privately, so a position is validated once per
+constraint, not once per call; the cache keeps the quotients up to the
+farthest position any call has reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterator, Mapping, NamedTuple
+from itertools import count
+from typing import Iterator, Mapping
 
 from . import indexsets
 from .errors import (
@@ -40,8 +48,8 @@ UNKNOWN = "unknown"
 # when first touched.
 _VALIDATION_HORIZON = 64
 
-# U_i of every unconstrained row in is_member's cache; one shared object,
-# since an empty frozenset is not interned and costs 216 bytes.
+# U_i of every unconstrained row; one shared object, since an empty
+# frozenset is not interned and costs 216 bytes.
 _UNCONSTRAINED = frozenset()
 
 
@@ -53,10 +61,9 @@ class DigitConstraint:
     overrides: tuple[tuple[int, frozenset[int]], ...] = ()
 
     def __post_init__(self):
-        # Rows (d_i, U_i) of the positions is_member has read so far, U_i
-        # empty where i is unconstrained.  Rows are added one position at a
-        # time, so a position is validated only when a call first reaches
-        # it.  Not a field: equality, hash and repr ignore it.
+        # Rows of the positions read so far (see ``rows``), added only when
+        # a call first reaches a position, so that is when it is validated.
+        # Not a field: equality, hash and repr ignore it.
         object.__setattr__(self, "_rows", ())
 
     def forbidden_at(self, i: int) -> frozenset[int] | None:
@@ -123,11 +130,9 @@ def make_constraint(
             )
 
     constraint = DigitConstraint(seq, index_set, default_f, tuple(over))
-    # Eager sweep of small constrained positions; catches defaults that are
-    # full or out of range wherever that is decidable up front.
-    for i in range(_VALIDATION_HORIZON + 1):
-        if index_set.contains(i):
-            constraint.forbidden_at(i)
+    # Eager sweep of small positions; catches defaults that are full or out
+    # of range wherever that is decidable up front.
+    rows(constraint, _VALIDATION_HORIZON + 1)
     return constraint
 
 
@@ -158,33 +163,54 @@ def fixed_bits(bits: Mapping[int, int]) -> DigitConstraint:
     return make_constraint(constant(2), index_set, default=None, overrides=overrides)
 
 
+def _row(constraint: DigitConstraint, i: int) -> tuple[int, frozenset[int], int, int]:
+    """(d_i, U_i, allowed, leading) at position i, validating U_i."""
+    d = constraint.sequence.quotient(i)
+    u = constraint.forbidden_at(i) or _UNCONSTRAINED
+    allowed = d - len(u)
+    # With 0 forbidden the two counts are one object, not two big integers.
+    return d, u, allowed, allowed if 0 in u else allowed - 1
+
+
+def rows(constraint: DigitConstraint, k: int) -> tuple:
+    """The cached rows of positions 0, 1, ..., at least k of them.
+
+    New rows go into a new tuple that replaces the old one, never appended
+    in place: threads that grow the rows at once each publish a correct
+    prefix.
+    """
+    have = constraint._rows
+    if len(have) < k:
+        have += tuple(_row(constraint, i) for i in range(len(have), k))
+        object.__setattr__(constraint, "_rows", have)
+    return have
+
+
 def is_member(constraint: DigitConstraint, n: int) -> bool:
     """Whether every constrained digit of n avoids its forbidden set."""
     if n < 1:
         raise NonPositiveInput(f"membership is defined for positive integers, got {n}")
-    rows = constraint._rows
-    for d, u in rows:
+    have = constraint._rows
+    for d, u, _, _ in have:
         n, c = divmod(n, d)
         if c in u:
             return False
         if not n:
             return True
-    # n reaches past every row built so far.  New rows go into a new tuple
-    # that replaces the old one when the call ends, never appended in place:
-    # threads that grow the rows at once each publish a correct prefix.
-    seq = constraint.sequence
+    # n reaches past every row built so far: add rows one position at a
+    # time, up to the first that decides, and publish them as ``rows`` does.
     new = []
     try:
-        for i in count(len(rows)):
-            d, u = seq.quotient(i), constraint.forbidden_at(i) or _UNCONSTRAINED
-            new.append((d, u))
+        for i in count(len(have)):
+            d, u, _, _ = row = _row(constraint, i)
+            new.append(row)
             n, c = divmod(n, d)
             if c in u:
                 return False
             if not n:
                 return True
     finally:
-        object.__setattr__(constraint, "_rows", rows + tuple(new))
+        object.__setattr__(constraint, "_rows", have + tuple(new))
 
 
 @dataclass(frozen=True)
@@ -197,36 +223,6 @@ class BlockCount:
     empty: bool
 
 
-class _Position(NamedTuple):
-    """Facts about digit position i: quotient d_i, place value g_i, the
-    forbidden set U_i (empty when i is unconstrained), the number of
-    allowed digits in [0, d_i - 1] and of allowed leading digits in
-    [1, d_i - 1]."""
-
-    i: int
-    d: int
-    g: int
-    forbidden: frozenset[int]
-    allowed: int
-    leading: int
-
-
-def positions(constraint: DigitConstraint) -> Iterator[_Position]:
-    """Records of every digit position i = 0, 1, 2, ..., without end.
-
-    Place values are a running product, so walking to position k costs k
-    multiplications and keeps nothing behind.
-    """
-    seq = constraint.sequence
-    g = 1
-    for i in count():
-        d = seq.quotient(i)
-        u = constraint.forbidden_at(i) or frozenset()
-        allowed = d - len(u)
-        yield _Position(i, d, g, u, allowed, allowed - (0 not in u))
-        g *= d
-
-
 def block_count_exact(constraint: DigitConstraint, k: int) -> BlockCount:
     """|A_k| by direct digit counting, leading digit split off exactly.
 
@@ -236,11 +232,12 @@ def block_count_exact(constraint: DigitConstraint, k: int) -> BlockCount:
     """
     if k < 0:
         raise InputOutOfRange(f"negative block index {k}")
+    rs = rows(constraint, k + 1)
     below = 1
-    for p in positions(constraint):
-        if p.i == k:
-            return BlockCount(k, below * p.leading, below * p.allowed, empty=p.leading == 0)
-        below *= p.allowed
+    for _, _, allowed, _ in rs[:k]:
+        below *= allowed
+    _, _, allowed, leading = rs[k]
+    return BlockCount(k, below * leading, below * allowed, empty=leading == 0)
 
 
 def count_upto(constraint: DigitConstraint, n: int) -> int:
@@ -259,13 +256,13 @@ def count_upto(constraint: DigitConstraint, n: int) -> int:
     shorter = 0
     upto = 1
     below = 1  # allowed digit strings on the positions seen so far
-    for p, c in zip(positions(constraint), digits):
-        low = 1 if p.i == top else 0
-        smaller = c - low - sum(1 for u in p.forbidden if low <= u < c)
-        upto = smaller * below + (0 if c in p.forbidden else upto)
-        if p.i < top:
-            shorter += below * p.leading
-        below *= p.allowed
+    for i, ((_, u, allowed, leading), c) in enumerate(zip(rows(constraint, top + 1), digits)):
+        low = 1 if i == top else 0
+        smaller = c - low - sum(1 for f in u if low <= f < c)
+        upto = smaller * below + (0 if c in u else upto)
+        if i < top:
+            shorter += below * leading
+        below *= allowed
     return shorter + upto
 
 
@@ -279,14 +276,18 @@ def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterato
         raise InputOutOfRange(f"negative block index {k}")
     if budget < 0:
         raise InputOutOfRange(f"budget must be nonnegative, got {budget}")
-    ps = list(islice(positions(constraint), k + 1))
-    if ps[k].leading == 0:
+    rs = rows(constraint, k + 1)[: k + 1]
+    _, u_top, _, leading = rs[k]
+    if leading == 0:
         return
+    places = [1]
+    for d, _, _, _ in rs[:k]:
+        places.append(places[-1] * d)
     # An odometer over allowed digits, position 0 turning fastest, visits
     # the block in increasing order.
-    lowest = [next(c for c in count() if c not in p.forbidden) for p in ps[:k]]
-    digits = lowest + [next(c for c in count(1) if c not in ps[k].forbidden)]
-    value = sum(c * p.g for c, p in zip(digits, ps))
+    lowest = [next(c for c in count() if c not in u) for _, u, _, _ in rs[:k]]
+    digits = lowest + [next(c for c in count(1) if c not in u_top)]
+    value = sum(c * g for c, g in zip(digits, places))
     produced = 0
     while True:
         if produced == budget:
@@ -295,17 +296,17 @@ def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterato
             )
         produced += 1
         yield value
-        for i, p in enumerate(ps):
+        for i, (d, u, _, _) in enumerate(rs):
             c = digits[i] + 1
-            while c in p.forbidden:
+            while c in u:
                 c += 1
-            if c < p.d:
-                value += (c - digits[i]) * p.g
+            if c < d:
+                value += (c - digits[i]) * places[i]
                 digits[i] = c
                 break
             if i == k:
                 return
-            value -= (digits[i] - lowest[i]) * p.g
+            value -= (digits[i] - lowest[i]) * places[i]
             digits[i] = lowest[i]
 
 

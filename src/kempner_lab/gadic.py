@@ -77,9 +77,6 @@ class QuotientSequence:
             )
         return q
 
-    def base_value(self, k: int) -> int:
-        return base_value(self, k)
-
 
 def make_sequence(
     kind: str,
@@ -180,26 +177,14 @@ def _quotient_prefix(seq: QuotientSequence, n: int) -> tuple[int, ...]:
     return half + tuple(seq.quotient(i) for i in range(n // 2, n))
 
 
-@lru_cache(maxsize=None)
-def _base_prefix(seq: QuotientSequence, n: int) -> tuple[int, ...]:
-    """Place values g_0 .. g_{n-1} as a tuple."""
-    quots = _quotient_prefix(seq, n)
-    out = [1]
-    g = 1
-    for q in quots[:-1] if n else ():
-        g *= q
-        out.append(g)
-    return tuple(out)
-
-
 def base_value(seq: QuotientSequence, k: int) -> int:
     """Place value g_k = d_0 * d_1 * ... * d_{k-1}; g_0 = 1.  Exact."""
     if k < 0:
         raise InputOutOfRange(f"negative index {k}")
-    cap = 16
-    while cap <= k:
-        cap *= 2
-    return _base_prefix(seq, cap)[k]
+    g = 1
+    for i in range(k):
+        g *= seq.quotient(i)
+    return g
 
 
 def to_digits(seq: QuotientSequence, n: int) -> Numeral:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count_from, islice
+from itertools import count as _count_from
 
 from . import indexsets
 from .constraints import (
@@ -28,7 +28,7 @@ from .constraints import (
     count_upto,
     enumerate_block,
     is_finite_set,
-    positions,
+    rows,
 )
 from .errors import (
     BudgetExceeded,
@@ -39,7 +39,6 @@ from .errors import (
     SetIsFinite,
 )
 from .exactsum import sum_fractions, sum_reciprocals
-from .gadic import base_value
 from .indexsets import GROWTH_BOUNDED, GROWTH_LINEAR, GROWTH_LOG, Growth
 
 DEFAULT_BUDGET = 10**6
@@ -108,15 +107,17 @@ def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
     cum_lo = Fraction(0)
     cum_hi = Fraction(0)
     below = 1
-    for p in islice(positions(constraint), max_k + 1):
-        g_hi = p.g * p.d
-        n = below * p.leading
+    g = 1
+    for k, (d, _, allowed, leading) in enumerate(rows(constraint, max_k + 1)[: max_k + 1]):
+        g_hi = g * d
+        n = below * leading
         lo = Fraction(n, g_hi)
-        hi = Fraction(n, p.g)
+        hi = Fraction(n, g)
         cum_lo += lo
         cum_hi += hi
-        out.append(BlockReport(p.i, p.g, g_hi, n, lo, hi, cum_lo, cum_hi))
-        below *= p.allowed
+        out.append(BlockReport(k, g, g_hi, n, lo, hi, cum_lo, cum_hi))
+        below *= allowed
+        g = g_hi
     return out
 
 
@@ -142,7 +143,8 @@ def partial_sum_exact(
     truncated = False
     partials: list[Fraction] = []
     k = 0
-    while base_value(seq, k) <= n_max and not truncated:
+    g = 1  # g_k
+    while g <= n_max and not truncated:
         members = []
         try:
             for a in enumerate_block(constraint, k, remaining):
@@ -155,6 +157,7 @@ def partial_sum_exact(
         terms += len(members)
         if members:
             partials.append(sum_reciprocals(members))
+        g *= seq.quotient(k)
         k += 1
     return PartialSum(value=sum_fractions(partials), truncated=truncated, terms=terms)
 
@@ -208,9 +211,9 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
         raise InputOutOfRange(f"need 0 <= k1 <= K, got k1={k1}, K={K}")
     product = Fraction(1)
     total = Fraction(0)
-    for p in islice(positions(constraint), K + 1):
-        product *= Fraction(p.allowed, p.d)
-        if p.i >= k1 and p.leading:
+    for k, (d, _, allowed, leading) in enumerate(rows(constraint, K + 1)[: K + 1]):
+        product *= Fraction(allowed, d)
+        if k >= k1 and leading:
             total += product
     return total / 2
 
@@ -514,8 +517,8 @@ def divergence_by_unbounded_quotients(
     assert i0 is not None
 
     prod = Fraction(1)
-    for p in islice(positions(constraint), i0):
-        prod *= Fraction(p.allowed, p.d)
+    for d, _, allowed, _ in rows(constraint, i0)[:i0]:
+        prod *= Fraction(allowed, d)
     delta = prod / 2
 
     # window spot-check: explicit partial tail terms can never exceed the

@@ -99,20 +99,15 @@ def oracle_report(constraint: DigitConstraint, lo: int, hi: int) -> OracleReport
     )
 
 
-def block_mismatches(constraint: DigitConstraint, blocks) -> list[str]:
+def block_mismatches(members: list[int], blocks) -> list[str]:
     """Check claimed per-block counts and reciprocal-sum brackets.
 
-    Each block is plain data with fields ``k``, ``g_lo``, ``g_hi``,
-    ``count``, ``bracket_lo`` and ``bracket_hi`` (a BlockReport fits), the
-    block being the integers in [g_lo, g_hi).  One oracle scan covers every
-    block; each block's exact sum is taken from that member list.  Returns
-    one message per disagreement.
+    ``members`` is the sorted oracle member list over a range covering
+    every block.  Each block is plain data with fields ``k``, ``g_lo``,
+    ``g_hi``, ``count``, ``bracket_lo`` and ``bracket_hi`` (a BlockReport
+    fits), the block being the integers in [g_lo, g_hi); its exact sum is
+    taken from the member list.  Returns one message per disagreement.
     """
-    if not blocks:
-        return []
-    members = oracle_members(
-        constraint, min(b.g_lo for b in blocks), max(b.g_hi for b in blocks) - 1
-    )
     out = []
     for b in blocks:
         i, j = bisect_left(members, b.g_lo), bisect_left(members, b.g_hi)

@@ -1,5 +1,6 @@
 import resource
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -153,6 +154,45 @@ def test_is_member_validates_a_far_position_on_every_call():
             kl.is_member(c, 10**71 + 1)
     assert not kl.is_member(c, 5 * 10**69 + 10**71)  # forbidden digit before 70
     assert kl.is_member(c, 10**69 + 1)
+    # The row readers, too, raise on every call that reaches position 70
+    # and on no call that stops short of it.
+    for _ in range(3):
+        assert kl.count_upto(c, 10**70 - 1) == 9**70 - 1
+        assert kl.block_count_exact(c, 69).exact == 8 * 9**69
+        assert len(kl.block_reports(c, 69)) == 70
+        assert next(kl.enumerate_block(c, 69, 1)) == 10**69
+        assert kl.tail_lower_estimate(c, 0, 69) > 0
+        for call in (
+            lambda: kl.count_upto(c, 10**70),
+            lambda: kl.block_count_exact(c, 70),
+            lambda: kl.block_reports(c, 70),
+            lambda: next(kl.enumerate_block(c, 70, 1)),
+            lambda: kl.tail_lower_estimate(c, 0, 70),
+        ):
+            with pytest.raises(DigitOutOfRange, match="position 70"):
+                call()
+    assert kl.is_member(c, 10**69 + 1)
+
+
+def test_row_readers_validate_each_position_once(monkeypatch):
+    seen = Counter()
+    forbidden_at = kl.DigitConstraint.forbidden_at
+
+    def counted(self, i):
+        seen[i] += 1
+        return forbidden_at(self, i)
+
+    monkeypatch.setattr(kl.DigitConstraint, "forbidden_at", counted)
+    c = kl.make_constraint(kl.constant(10), kl.ArithmeticIndices(0, 2), default={9}, overrides={4: {0, 3}})
+    for _ in range(3):
+        kl.count_upto(c, 10**90 + 12345)
+        kl.block_count_exact(c, 80)
+        kl.block_reports(c, 100)
+        assert sum(1 for _ in kl.enumerate_block(c, 3, 10**4)) == kl.block_count_exact(c, 3).exact
+        kl.tail_lower_estimate(c, 50, 110)
+        assert kl.is_member(c, int("1" * 121))
+    assert sorted(seen) == list(range(121))
+    assert set(seen.values()) == {1}
 
 
 def test_used_constraint_equals_unused():
@@ -179,8 +219,12 @@ def test_is_member_threads_share_one_constraint():
     rng = random.Random(5)
     # Rising inputs, so every thread keeps adding rows while the others read.
     inputs = [sorted(rng.randrange(1, 2 ** rng.randint(1, 400)) for _ in range(200)) for _ in range(4)]
+    def facts(c, n):
+        return kl.is_member(c, n), kl.count_upto(c, n), kl.block_count_exact(c, n.bit_length() // 4)
+
     reference = build()
-    want = [[_decoded_ok(reference, n) for n in ns] for ns in inputs]
+    want = [[facts(reference, n) for n in ns] for ns in inputs]
+    assert [[m for m, _, _ in w] for w in want] == [[_decoded_ok(reference, n) for n in ns] for ns in inputs]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -192,7 +236,7 @@ def test_is_member_threads_share_one_constraint():
 
             def work(j):
                 barrier.wait(timeout=60)
-                got[j] = [kl.is_member(c, n) for n in inputs[j]]
+                got[j] = [facts(c, n) for n in inputs[j]]
 
             threads = [threading.Thread(target=work, args=(j,)) for j in range(len(inputs))]
             for t in threads:
@@ -201,9 +245,11 @@ def test_is_member_threads_share_one_constraint():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert got == want
-            assert list(c._rows) == [
-                (c.sequence.quotient(i), c.forbidden_at(i) or frozenset()) for i in range(len(c._rows))
-            ]
+            for i, (d, u, allowed, leading) in enumerate(c._rows):
+                assert d == c.sequence.quotient(i)
+                assert u == (c.forbidden_at(i) or frozenset())
+                assert allowed == len(set(range(d)) - u)
+                assert leading == len(set(range(1, d)) - u)
     finally:
         sys.setswitchinterval(interval)
 

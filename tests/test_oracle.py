@@ -65,13 +65,18 @@ def test_oracle_agrees_with_fast_paths_on_blocks(kempner10, power2_no_zero, div_
 
 
 def test_block_mismatches(kempner10, power2_no_zero, div_log):
+    def members(c, reports):
+        return kl.oracle_members(c, 1, reports[-1].g_hi - 1)
+
     for c in (kempner10, power2_no_zero, div_log):
-        assert block_mismatches(c, kl.block_reports(c, 3)) == []
-    assert block_mismatches(kempner10, []) == []
+        reports = kl.block_reports(c, 3)
+        assert block_mismatches(members(c, reports), reports) == []
+    assert block_mismatches(kl.oracle_members(kempner10, 1, 100), []) == []
+    assert block_mismatches([], []) == []
     reports = kl.block_reports(kempner10, 3)
     reports[1] = replace(reports[1], count=reports[1].count - 1)
     reports[2] = replace(reports[2], bracket_hi=reports[2].bracket_lo)
-    assert block_mismatches(kempner10, reports) == [
+    assert block_mismatches(members(kempner10, reports), reports) == [
         "block 1: exact count 71, oracle 72",
         "block 2: oracle sum outside bracket",
     ]
