@@ -27,6 +27,23 @@ from .errors import (
 RULE_KINDS = ("constant", "explicit", "power", "factorial")
 EXTEND_MODES = ("repeat-last", "cycle")
 
+# Constant bases whose digits the C formatter writes; int() reads any base
+# up to 36.  Digit values map to these characters and back.
+_FORMAT_SPECS = {2: "b", 8: "o", 10: "d", 16: "x"}
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+@lru_cache(maxsize=None)
+def _native_tables(d: int) -> tuple[str | None, bytes | None, bytes]:
+    """Format spec, character-to-digit table and digit-to-character table.
+
+    The first two are None unless the formatter writes base d.  The last
+    maps every byte >= d to "!", which int() rejects.
+    """
+    spec = _FORMAT_SPECS.get(d)
+    to_table = bytes.maketrans(_DIGIT_CHARS[:d], bytes(range(d))) if spec else None
+    return spec, to_table, _DIGIT_CHARS[:d] + b"!" * (256 - d)
+
 
 @dataclass(frozen=True)
 class QuotientSequence:
@@ -49,6 +66,13 @@ class QuotientSequence:
         # so the hash of the (immutable) fields is computed once, here.
         fields = (self.kind, self.d, self.values, self.extend, self.base, self.bound_hint)
         object.__setattr__(self, "_hash", hash(fields))
+        # Constant bases convert in C when no quotient can break the bound;
+        # a sequence built directly may carry a hint below d.
+        native = None
+        if self.kind == "constant" and 2 <= self.d <= 36:
+            if self.bound_hint is None or self.bound_hint >= self.d:
+                native = _native_tables(self.d)
+        object.__setattr__(self, "_native", native)
 
     def __hash__(self) -> int:
         return self._hash
@@ -188,9 +212,20 @@ def base_value(seq: QuotientSequence, k: int) -> int:
 
 
 def to_digits(seq: QuotientSequence, n: int) -> Numeral:
-    """Digit vector of n, least significant first, by repeated division."""
+    """Digit vector of n, least significant first, by repeated division.
+
+    Constant bases 2, 8, 10 and 16 use the C formatter instead and fall
+    back to the division walk past the str-digit limit.
+    """
     if n < 1:
         raise NonPositiveInput(f"expected a positive integer, got {n}")
+    native = seq._native
+    if native is not None and native[0] is not None:
+        try:
+            digits = format(n, native[0]).encode().translate(native[1])[::-1]
+            return Numeral(tuple(digits), seq)
+        except (ValueError, TypeError):
+            pass  # past the str-digit limit, or n is not an int: walk
     digits = []
     append = digits.append
     start, cap = 0, 16
@@ -209,6 +244,12 @@ def from_digits(numeral: Numeral) -> int:
     digits = numeral.digits
     if digits[-1] == 0:
         raise ZeroLeadingDigit(f"leading digit of {list(digits)} is zero")
+    native = seq._native
+    if native is not None:
+        try:
+            return int(bytes(digits).translate(native[2])[::-1], seq.d)
+        except (ValueError, TypeError):
+            pass  # a bad digit or the str-digit limit: the walk names it
     cap = 16
     while cap < len(digits):
         cap *= 2

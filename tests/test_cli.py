@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -475,3 +476,20 @@ def test_complement_index_set_config():
     assert not config.constraint.index_set.contains(1)
     assert config.constraint.index_set.contains(3)
     assert to_dict(parse_dict(to_dict(config))) == to_dict(config)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["preset", "--list"], ["count", "--preset", "kempner10"], ["count", "--bogus"]],
+    ids=["ok", "exit-1", "argparse-error"],
+)
+def test_main_restores_str_digit_limit(capsys, argv):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
+    capsys.readouterr()

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from kempner_lab.errors import (
     QuotientTooSmall,
     ZeroLeadingDigit,
 )
+from kempner_lab.gadic import QuotientSequence
 
 FAMILIES = [
     kl.constant(10),
@@ -161,3 +164,97 @@ def test_uniqueness_on_sample():
             key = kl.to_digits(seq, n).digits
             assert key not in seen
             seen.add(key)
+
+
+def _divmod_digits(n, d):
+    digits = []
+    while n:
+        n, c = divmod(n, d)
+        digits.append(c)
+    return tuple(digits)
+
+
+# default limit, the smallest one allowed, and no limit
+STR_DIGIT_LIMITS = [4300, 640, 0]
+
+
+@given(
+    n=st.one_of(
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=1, max_value=2**20000),
+    ),
+    # the formatter's bases, then any base int() reads
+    d=st.one_of(st.sampled_from([2, 8, 10, 16]), st.integers(min_value=2, max_value=36)),
+    limit=st.sampled_from(STR_DIGIT_LIMITS),
+)
+@settings(max_examples=300, deadline=None)
+def test_native_round_trip_matches_divmod(n, d, limit):
+    seq = kl.constant(d)
+    expected = _divmod_digits(n, d)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        digits = kl.to_digits(seq, n).digits
+        value = kl.from_digits(kl.Numeral(expected, seq))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert digits == expected
+    assert value == n
+
+
+def test_native_path_only_for_checked_constant_bases():
+    assert all(kl.constant(d)._native is not None for d in range(2, 37))
+    assert kl.constant(10, bound_hint=12)._native is not None
+    assert kl.constant(37)._native is None
+    assert all(seq._native is None for seq in FAMILIES if seq.kind != "constant")
+    assert QuotientSequence(kind="constant", d=10, bound_hint=5)._native is None
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:  # compare whatever the walk raises
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", [2, 10, 16, 36])
+@pytest.mark.parametrize(
+    "digits",
+    [
+        (1, 0),  # leading zero
+        ("d", 1),  # digit equal to d
+        (255, 1),
+        (256, 1),
+        (-1, 1),
+        (1.5, 1),  # in range: the walk returns a float
+        (40.0, 1),
+        (1, "d", 1, 300, 1),  # two bad digits: the lowest is named
+    ],
+    ids=["leading-zero", "digit-d", "255", "256", "minus-1", "float", "float-big", "two-bad"],
+)
+def test_native_from_digits_errors_match_walk(d, digits):
+    digits = tuple(d if c == "d" else c for c in digits)
+    # explicit([d]) has the same quotients but always walks
+    native = _outcome(lambda: kl.from_digits(kl.Numeral(digits, kl.constant(d))))
+    walk = _outcome(lambda: kl.from_digits(kl.Numeral(digits, kl.explicit([d]))))
+    assert native == walk
+    if digits[-1] == 0:
+        assert native[0] is ZeroLeadingDigit
+    elif digits[0] != 1.5:
+        assert native[0] is DigitOutOfRange
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True])
+def test_native_to_digits_non_int_matches_walk(n):
+    for d in (2, 8, 10, 16):
+        native = _outcome(lambda: kl.to_digits(kl.constant(d), n).digits)
+        walk = _outcome(lambda: kl.to_digits(kl.explicit([d]), n).digits)
+        assert native == walk
+
+
+def test_constant_below_its_bound_hint_still_raises():
+    seq = QuotientSequence(kind="constant", d=10, bound_hint=5)
+    with pytest.raises(BoundHintViolated):
+        kl.to_digits(seq, 409)
+    with pytest.raises(BoundHintViolated):
+        kl.from_digits(kl.Numeral((9, 0, 4), seq))
