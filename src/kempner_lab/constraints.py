@@ -188,8 +188,8 @@ def rows(constraint: DigitConstraint, k: int) -> tuple:
 
 def is_member(constraint: DigitConstraint, n: int) -> bool:
     """Whether every constrained digit of n avoids its forbidden set."""
-    if n < 1:
-        raise NonPositiveInput(f"membership is defined for positive integers, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise NonPositiveInput(f"membership is defined for positive integers, got {n!r}")
     have = constraint._rows
     for d, u, _, _ in have:
         n, c = divmod(n, d)

@@ -10,6 +10,7 @@ gcd on full products.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Iterable
 
@@ -30,11 +31,11 @@ def add_reduced(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return num, den
 
 
-def sum_reciprocals(values: Iterable[int]) -> Fraction:
-    """Exact sum of 1/v over the stream, via balanced pairwise merging."""
+def _merge(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of reduced (num, den) pairs, merged like a binary counter."""
     stack: list[tuple[int, int, int]] = []  # (level, num, den)
-    for v in values:
-        level, num, den = 0, 1, v
+    for num, den in pairs:
+        level = 0
         while stack and stack[-1][0] == level:
             _, n2, d2 = stack.pop()
             num, den = add_reduced(num, den, n2, d2)
@@ -45,20 +46,13 @@ def sum_reciprocals(values: Iterable[int]) -> Fraction:
         _, n2, d2 = stack.pop()
         num, den = add_reduced(num, den, n2, d2)
     return Fraction(num, den)
+
+
+def sum_reciprocals(values: Iterable[int]) -> Fraction:
+    """Exact sum of 1/v over the stream, via balanced pairwise merging."""
+    return _merge(zip(repeat(1), values))
 
 
 def sum_fractions(values: Iterable[Fraction]) -> Fraction:
     """Exact sum of a stream of fractions, same balanced scheme."""
-    stack: list[tuple[int, int, int]] = []
-    for f in values:
-        level, num, den = 0, f.numerator, f.denominator
-        while stack and stack[-1][0] == level:
-            _, n2, d2 = stack.pop()
-            num, den = add_reduced(num, den, n2, d2)
-            level += 1
-        stack.append((level, num, den))
-    num, den = 0, 1
-    while stack:
-        _, n2, d2 = stack.pop()
-        num, den = add_reduced(num, den, n2, d2)
-    return Fraction(num, den)
+    return _merge((f.numerator, f.denominator) for f in values)

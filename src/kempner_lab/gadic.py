@@ -217,15 +217,15 @@ def to_digits(seq: QuotientSequence, n: int) -> Numeral:
     Constant bases 2, 8, 10 and 16 use the C formatter instead and fall
     back to the division walk past the str-digit limit.
     """
-    if n < 1:
-        raise NonPositiveInput(f"expected a positive integer, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise NonPositiveInput(f"expected a positive integer, got {n!r}")
     native = seq._native
     if native is not None and native[0] is not None:
         try:
             digits = format(n, native[0]).encode().translate(native[1])[::-1]
             return Numeral(tuple(digits), seq)
-        except (ValueError, TypeError):
-            pass  # past the str-digit limit, or n is not an int: walk
+        except ValueError:
+            pass  # past the str-digit limit: walk
     digits = []
     append = digits.append
     start, cap = 0, 16
@@ -259,10 +259,22 @@ def from_digits(numeral: Numeral) -> int:
     for i, c in enumerate(digits):
         q = quots[i]
         if not 0 <= c < q:
-            raise DigitOutOfRange(f"digit {c} at position {i} outside [0, {q - 1}]")
+            raise _bad_digit(digits, quots)
         total += c * g
         g *= q
+    if type(total) is not int:  # a non-int digit made the sum non-int
+        raise _bad_digit(digits, quots)
     return total
+
+
+def _bad_digit(digits, quots) -> DigitOutOfRange:
+    """The error naming the lowest digit that is not an int in range."""
+    for i, c in enumerate(digits):
+        if not isinstance(c, int):
+            return DigitOutOfRange(f"digit {c!r} at position {i} is not an integer")
+        if not 0 <= c < quots[i]:
+            return DigitOutOfRange(f"digit {c} at position {i} outside [0, {quots[i] - 1}]")
+    raise AssertionError("every digit is an int in range")
 
 
 def digit_count(seq: QuotientSequence, n: int) -> int:

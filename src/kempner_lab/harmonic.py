@@ -6,11 +6,13 @@ and |A_k|/g_k.  Partial sums are exact rationals computed by block
 enumeration under an element budget.
 
 Convergence or divergence verdicts come only from symbolically certified
-hypotheses over the closed rule algebra; numeric windows merely
-spot-check the certificate.  Two tests exist: for sequences with a
-uniform quotient bound d, the counting function of constrained positions
-is compared against logarithmic thresholds; for unbounded quotients,
-divergence follows when the series of forbidden-digit ratios converges.
+hypotheses over the closed rule algebra.  Two tests exist: for sequences
+with a uniform quotient bound d, the counting function of constrained
+positions is compared against logarithmic thresholds; for unbounded
+quotients, divergence follows when the series of forbidden-digit ratios
+converges.  The ratio-tail certificate is also checked against an exact
+partial sum of its first terms; the bounded-quotient thresholds carry no
+such check.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class BlockReport:
 
 @dataclass(frozen=True)
 class Margin:
-    """Numbers backing a verdict: the delta used, the index past which the
-    certified inequality holds, and a window spot-check residual."""
+    """Numbers backing a verdict: the delta used and the index past which
+    the certified inequality holds.  Only the ratio-tail test fills
+    ``value`` (the certified tail, exact) and ``window`` (the last
+    position its spot-check may read)."""
 
     delta: Fraction | None = None
     threshold_label: str = ""
@@ -294,21 +298,7 @@ def _certify_divergence(growth: Growth, d: int, delta: Fraction) -> int | None:
     return None
 
 
-def _window_slack(index_count, threshold, k_from: int, k_to: int, sign: int) -> float | None:
-    """Worst residual of the certified inequality over [k_from, k_to]."""
-    worst = None
-    for k in range(k_from, k_to + 1):
-        s = sign * (index_count(k) - threshold(k))
-        if worst is None or s < worst:
-            worst = s
-    return worst
-
-
-def convergence_by_bounded_quotients(
-    constraint: DigitConstraint,
-    delta=None,
-    k_window: int = DEFAULT_K_WINDOW,
-) -> Classification:
+def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) -> Classification:
     """Classify via the uniform-bound thresholds on the counting function.
 
     Convergent when count(k) eventually dominates
@@ -320,20 +310,15 @@ def convergence_by_bounded_quotients(
     if d is None:
         raise MissingBoundHint("sequence is not declared bounded")
     growth = indexsets.growth(constraint.index_set)
-    index_count = constraint.index_set.count
     candidates = _delta_candidates(delta)
 
     for f in candidates:
         k0 = _certify_convergence(growth, d, f)
         if k0 is not None:
-            coeff = float(1 + f) / math.log(d / (d - 1))
-            slack = _window_slack(
-                index_count, lambda k: coeff * math.log(k), k0, k_window, +1
-            )
             return Classification(
                 verdict=CONVERGENT,
                 rule_fired=RULE_INDEX_GROWTH,
-                margin=Margin(f, "k0", k0, slack, k_window),
+                margin=Margin(f, "k0", k0),
                 notes=(
                     f"count(k) certified >= (1+{f}) ln k / ln({d}/{d - 1}) for all k >= {k0}",
                 ),
@@ -341,14 +326,10 @@ def convergence_by_bounded_quotients(
     for f in candidates:
         k1 = _certify_divergence(growth, d, f)
         if k1 is not None:
-            coeff = float(1 - f) / math.log(d)
-            slack = _window_slack(
-                index_count, lambda k: coeff * math.log(k), k1, k_window, -1
-            )
             return Classification(
                 verdict=DIVERGENT,
                 rule_fired=RULE_INDEX_SPARSITY,
-                margin=Margin(f, "k1", k1, slack, k_window),
+                margin=Margin(f, "k1", k1),
                 notes=(
                     f"count(k) certified <= (1-{f}) ln k / ln {d} for all k >= {k1}",
                 ),
@@ -460,9 +441,7 @@ def _geometric_tail_over(ix, base: int, size: int, i0: int) -> Fraction | None:
     return None
 
 
-def divergence_by_unbounded_quotients(
-    constraint: DigitConstraint, i_window: int = DEFAULT_K_WINDOW
-) -> Classification:
+def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classification:
     """Divergence via a convergent series of forbidden-digit ratios.
 
     When sum over i in I of |U_i|/d_i converges (certified for quotient
@@ -526,7 +505,7 @@ def divergence_by_unbounded_quotients(
     # the window carries all the weight worth summing)
     ix = indexsets.normalize(constraint.index_set)
     window_members = []
-    for i in indexsets.iter_members_between(ix, i0, i_window):
+    for i in indexsets.iter_members_between(ix, i0, DEFAULT_K_WINDOW):
         window_members.append(i)
         if len(window_members) >= 64:
             break
@@ -540,7 +519,7 @@ def divergence_by_unbounded_quotients(
     return Classification(
         verdict=DIVERGENT,
         rule_fired=RULE_RATIO_TAIL,
-        margin=Margin(delta, "i0", i0, tail_value, i_window),
+        margin=Margin(delta, "i0", i0, tail_value, DEFAULT_K_WINDOW),
         notes=(
             f"forbidden-ratio tail from position {i0} is {tail_value} < 1/2; "
             f"per-block reciprocal sums stay above delta = {delta} times each "
@@ -551,11 +530,7 @@ def divergence_by_unbounded_quotients(
     )
 
 
-def classify(
-    constraint: DigitConstraint,
-    delta=None,
-    k_window: int = DEFAULT_K_WINDOW,
-) -> Classification:
+def classify(constraint: DigitConstraint, delta=None) -> Classification:
     """Dispatch over the finiteness check and both certified tests.
 
     Order: a finite member set short-circuits (its reciprocal sum is a
@@ -574,7 +549,7 @@ def classify(
     attempts.append(f"finiteness check: member set is {finiteness}")
 
     if constraint.sequence.bound_hint is not None:
-        bounded = convergence_by_bounded_quotients(constraint, delta=delta, k_window=k_window)
+        bounded = convergence_by_bounded_quotients(constraint, delta=delta)
         if bounded.verdict != INCONCLUSIVE:
             return Classification(
                 verdict=bounded.verdict,

@@ -104,6 +104,15 @@ def test_is_member_examples(kempner10, power2_no_zero):
         kl.is_member(kempner10, 0)
 
 
+def test_non_int_inputs_rejected(kempner10):
+    with pytest.raises(NonPositiveInput):
+        kl.is_member(kempner10, 9.5)
+    with pytest.raises(NonPositiveInput):
+        kl.count_upto(kempner10, 2.5)
+    assert kl.is_member(kempner10, True)
+    assert kl.count_upto(kempner10, True) == 1
+
+
 @pytest.mark.parametrize(
     "preset", ["kempner10", "power2-no-zero", "div-log", "open-boundary"]
 )

@@ -226,7 +226,7 @@ def _outcome(call):
         (255, 1),
         (256, 1),
         (-1, 1),
-        (1.5, 1),  # in range: the walk returns a float
+        (1.5, 1),  # in range but not an int
         (40.0, 1),
         (1, "d", 1, 300, 1),  # two bad digits: the lowest is named
     ],
@@ -240,7 +240,7 @@ def test_native_from_digits_errors_match_walk(d, digits):
     assert native == walk
     if digits[-1] == 0:
         assert native[0] is ZeroLeadingDigit
-    elif digits[0] != 1.5:
+    else:
         assert native[0] is DigitOutOfRange
 
 
@@ -250,6 +250,21 @@ def test_native_to_digits_non_int_matches_walk(n):
         native = _outcome(lambda: kl.to_digits(kl.constant(d), n).digits)
         walk = _outcome(lambda: kl.to_digits(kl.explicit([d]), n).digits)
         assert native == walk
+        if n is True:
+            assert native == ("value", (1,))
+        else:
+            assert native[0] is NonPositiveInput
+
+
+@pytest.mark.parametrize("seq", [kl.constant(10), kl.explicit([10]), kl.factorial()])
+def test_from_digits_names_lowest_non_int_digit(seq):
+    for digits, position in [((1, 2.5, 3.5, 1), 1), ((2.0,), 0), ((True, 0, 1), None)]:
+        numeral = kl.Numeral(digits, seq)
+        if position is None:
+            assert kl.from_digits(numeral) == 1 + kl.base_value(seq, 2)
+        else:
+            with pytest.raises(DigitOutOfRange, match=f"position {position} is not an integer"):
+                kl.from_digits(numeral)
 
 
 def test_constant_below_its_bound_hint_still_raises():

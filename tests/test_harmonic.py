@@ -3,8 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kempner_lab as kl
+from kempner_lab import indexsets
 from kempner_lab.errors import (
     InputOutOfRange,
     MissingBoundHint,
@@ -12,6 +15,8 @@ from kempner_lab.errors import (
     SetIsFinite,
 )
 from kempner_lab.exactsum import sum_reciprocals
+from kempner_lab.presets import preset_names
+from conftest import constraint_from_preset
 
 
 def _enumerated_block_sum(constraint, k, budget=10**6):
@@ -179,18 +184,27 @@ def test_classify_verdicts(kempner10, power2_no_zero, div_log, open_boundary, fu
     assert kl.classify(full_forbidden_base10).verdict == kl.FINITE_SET
 
 
+def _converges_at(d, delta, c, k):
+    """count(k) = c >= (1+delta) ln k / ln(d/(d-1)), in integers."""
+    p, q = delta.numerator, delta.denominator
+    return d ** (q * c) >= k ** (p + q) * (d - 1) ** (q * c)
+
+
+def _diverges_at(d, delta, c, k):
+    """count(k) = c <= (1-delta) ln k / ln d, in integers."""
+    p, q = delta.numerator, delta.denominator
+    return d ** (q * c) <= k ** (q - p)
+
+
 def test_bounded_convergence_margin(kempner10):
     r = kl.convergence_by_bounded_quotients(kempner10)
     assert r.verdict == kl.CONVERGENT
     assert r.margin.delta == Fraction(1, 2)
     k0 = r.margin.threshold_index
-    # the inequality really holds from k0 on (window spot-check)
-    import math
-
-    coeff = float(1 + r.margin.delta) / math.log(10 / 9)
+    # the inequality really holds from k0 on, checked exactly
     for k in range(k0, 3000):
-        assert kempner10.index_set.count(k) >= coeff * math.log(k) - 1e-9
-    assert r.margin.value >= -1e-9
+        assert _converges_at(10, r.margin.delta, kempner10.index_set.count(k), k)
+    assert r.margin.value is None
 
 
 def test_bounded_divergence_certificate(div_log):
@@ -198,14 +212,65 @@ def test_bounded_divergence_certificate(div_log):
     assert r.verdict == kl.DIVERGENT
     assert r.margin.delta == Fraction(2, 5)
     k1 = r.margin.threshold_index
-    import math
-
-    coeff = float(1 - Fraction(2, 5)) / math.log(2)
     for k in range(k1, 5000):
-        assert div_log.index_set.count(k) <= coeff * math.log(k) + 1e-9
+        assert _diverges_at(2, Fraction(2, 5), div_log.index_set.count(k), k)
+    assert r.margin.value is None
+    # k1 is an exact tie: count(1024) = 6 = (3/5) log2(1024)
+    assert k1 == 1024
+    assert div_log.index_set.count(1024) == 6
+    assert 2 ** (5 * 6) == 1024**3
     # delta = 1/2 is exactly the boundary and must not certify
     boundary = kl.convergence_by_bounded_quotients(div_log, delta=Fraction(1, 2))
     assert boundary.verdict == kl.INCONCLUSIVE
+
+
+_INDEX_SETS = st.one_of(
+    st.just(kl.AllIndices()),
+    st.builds(kl.ArithmeticIndices, first=st.integers(0, 5), step=st.integers(1, 7)),
+    st.builds(kl.PowerIndices, st.integers(2, 16)),
+    st.builds(kl.ExplicitIndices, st.frozensets(st.integers(0, 40), min_size=1, max_size=8)),
+).flatmap(lambda ix: st.sampled_from([ix, indexsets.ComplementIndices(ix)]))
+_DELTAS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 20), Fraction(2, 5), Fraction(1, 3), Fraction(1, 100)]
+
+
+@settings(deadline=None)  # delta = 1/100 at 10 k* takes d to exponents near 10^5
+@given(d=st.integers(2, 16), ix=_INDEX_SETS, delta=st.sampled_from(_DELTAS))
+def test_bounded_thresholds_hold_exactly(d, ix, delta):
+    c = kl.make_constraint(kl.constant(d), ix, default={0})
+    r = kl.convergence_by_bounded_quotients(c, delta=delta)
+    if r.verdict == kl.INCONCLUSIVE:
+        return
+    holds = _converges_at if r.verdict == kl.CONVERGENT else _diverges_at
+    assert r.margin.delta == delta and r.margin.value is None
+    start = r.margin.threshold_index
+    for k in [*range(start, start + 201), 2 * start, 10 * start]:
+        assert holds(d, delta, ix.count(k), k), (r.margin.threshold_label, k)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in preset_names() if constraint_from_preset(n).sequence.bound_hint]
+)
+def test_classify_bounded_presets_count_few_positions(name, monkeypatch):
+    constraint = constraint_from_preset(name)
+    calls = []
+
+    def counting(count):
+        def wrapper(self, k):
+            calls.append(k)
+            return count(self, k)
+
+        return wrapper
+
+    for cls in (
+        kl.AllIndices,
+        kl.ExplicitIndices,
+        kl.ArithmeticIndices,
+        kl.PowerIndices,
+        indexsets.ComplementIndices,
+    ):
+        monkeypatch.setattr(cls, "count", counting(vars(cls)["count"]))
+    kl.classify(constraint)
+    assert len(calls) <= 100
 
 
 def test_bounded_requires_hint(power2_no_zero):
