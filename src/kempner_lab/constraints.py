@@ -36,6 +36,7 @@ from .errors import (
     InputOutOfRange,
     NonPositiveInput,
     OverrideOutsideIndexSet,
+    check_int,
 )
 from .gadic import QuotientSequence, constant, to_digits
 from .indexsets import ExplicitIndices, IndexSet
@@ -51,6 +52,8 @@ _VALIDATION_HORIZON = 64
 # U_i of every unconstrained row; one shared object, since an empty
 # frozenset is not interned and costs 216 bytes.
 _UNCONSTRAINED = frozenset()
+
+_BATCH_CAP = 512  # most entries in the lowest-position table of ``_batches``
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,7 @@ def block_count_exact(constraint: DigitConstraint, k: int) -> BlockCount:
     counts over positions 0..k; the exact count always lies in
     [product_bound / 2, product_bound] for nonempty blocks.
     """
+    check_int(k, "block index")
     if k < 0:
         raise InputOutOfRange(f"negative block index {k}")
     rs = rows(constraint, k + 1)
@@ -247,6 +251,7 @@ def count_upto(constraint: DigitConstraint, n: int) -> int:
     n's own block, ``upto`` counts the allowed digit strings on the
     positions seen so far whose value is at most n's low part there.
     """
+    check_int(n, "count point", NonPositiveInput)
     if n < 0:
         raise NonPositiveInput(f"count is defined for n >= 0, got {n}")
     if n == 0:
@@ -266,16 +271,13 @@ def count_upto(constraint: DigitConstraint, n: int) -> int:
     return shorter + upto
 
 
-def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterator[int]:
-    """Yield the members of A_k in increasing order.
+def _batches(constraint: DigitConstraint, k: int) -> Iterator[list[int]]:
+    """The members of A_k in increasing order, as consecutive sorted lists.
 
-    Raises BudgetExceeded after ``budget`` elements when more remain; the
-    exception's ``produced`` field records how many were yielded.
+    The lowest positions, as many as fit ``_BATCH_CAP``, give a sorted table
+    of their allowed values; each value of an odometer over the others plus
+    the table is one list.  State is O(k + _BATCH_CAP), not O(d_k).
     """
-    if k < 0:
-        raise InputOutOfRange(f"negative block index {k}")
-    if budget < 0:
-        raise InputOutOfRange(f"budget must be nonnegative, got {budget}")
     rs = rows(constraint, k + 1)[: k + 1]
     _, u_top, _, leading = rs[k]
     if leading == 0:
@@ -283,20 +285,21 @@ def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterato
     places = [1]
     for d, _, _, _ in rs[:k]:
         places.append(places[-1] * d)
-    # An odometer over allowed digits, position 0 turning fastest, visits
-    # the block in increasing order.
+    table = [0]
+    low = 0
+    while low < k and len(table) * rs[low][2] <= _BATCH_CAP:
+        d, u, _, _ = rs[low]
+        table = [c * places[low] + t for c in range(d) if c not in u for t in table]
+        low += 1
+    # An odometer over the allowed digits of positions low..k, position low
+    # turning fastest, visits their values in increasing order.
     lowest = [next(c for c in count() if c not in u) for _, u, _, _ in rs[:k]]
     digits = lowest + [next(c for c in count(1) if c not in u_top)]
-    value = sum(c * g for c, g in zip(digits, places))
-    produced = 0
+    value = sum(c * g for c, g in zip(digits[low:], places[low:]))
     while True:
-        if produced == budget:
-            raise BudgetExceeded(
-                f"block {k} exceeds the enumeration budget of {budget}", produced
-            )
-        produced += 1
-        yield value
-        for i, (d, u, _, _) in enumerate(rs):
+        yield list(map(value.__add__, table))
+        for i in range(low, k + 1):
+            d, u, _, _ = rs[i]
             c = digits[i] + 1
             while c in u:
                 c += 1
@@ -308,6 +311,27 @@ def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterato
                 return
             value -= (digits[i] - lowest[i]) * places[i]
             digits[i] = lowest[i]
+
+
+def enumerate_block(constraint: DigitConstraint, k: int, budget: int) -> Iterator[int]:
+    """Yield the members of A_k in increasing order, one by one from ``_batches``.
+
+    Raises BudgetExceeded after ``budget`` elements when more remain; the
+    exception's ``produced`` field records how many were yielded.
+    """
+    check_int(k, "block index")
+    check_int(budget, "budget")
+    if k < 0:
+        raise InputOutOfRange(f"negative block index {k}")
+    if budget < 0:
+        raise InputOutOfRange(f"budget must be nonnegative, got {budget}")
+    left = budget
+    for batch in _batches(constraint, k):
+        if len(batch) > left:
+            yield from batch[:left]
+            raise BudgetExceeded(f"block {k} exceeds the enumeration budget of {budget}", budget)
+        left -= len(batch)
+        yield from batch
 
 
 def is_finite_set(constraint: DigitConstraint) -> str:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int check that raises them."""
 
 
 class KempnerLabError(Exception):
@@ -74,6 +74,12 @@ class RangeTooLarge(KempnerLabError):
 
 class InputOutOfRange(KempnerLabError):
     """A numeric argument lies outside the documented domain."""
+
+
+def check_int(value, what: str, error: type[KempnerLabError] = InputOutOfRange) -> None:
+    """Raise ``error`` unless value is an int (a bool is one)."""
+    if not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
 
 
 class ConfigInvalid(KempnerLabError):

@@ -18,6 +18,7 @@ such check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count_from
@@ -27,18 +28,18 @@ from .constraints import (
     FINITE,
     UNKNOWN,
     DigitConstraint,
+    _batches,
     count_upto,
-    enumerate_block,
     is_finite_set,
     rows,
 )
 from .errors import (
-    BudgetExceeded,
     InputOutOfRange,
     MissingBoundHint,
     NonPositiveInput,
     SetFinitenessUnknown,
     SetIsFinite,
+    check_int,
 )
 from .exactsum import sum_fractions, sum_reciprocals
 from .indexsets import GROWTH_BOUNDED, GROWTH_LINEAR, GROWTH_LOG, Growth
@@ -105,6 +106,7 @@ class PartialSum:
 
 def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
     """BlockReports for k = 0..max_k with running cumulative brackets."""
+    check_int(max_k, "max_k")
     if max_k < 0:
         raise InputOutOfRange(f"max_k must be nonnegative, got {max_k}")
     out = []
@@ -134,36 +136,32 @@ def partial_sum_exact(
 ) -> PartialSum:
     """Exact sum of 1/a over members a <= n_max.
 
-    Enumeration stops after ``budget`` members; the result then carries
-    ``truncated=True`` and the partial value.
+    At most ``budget`` members are summed.  ``truncated`` is True exactly
+    when some member <= n_max was left out; members above n_max never
+    count against the budget.
     """
+    check_int(n_max, "n_max", NonPositiveInput)
     if n_max < 1:
         raise NonPositiveInput(f"n_max must be >= 1, got {n_max}")
     if budget is None:
         budget = DEFAULT_BUDGET
+    check_int(budget, "budget")
+    if budget < 0:
+        raise InputOutOfRange(f"budget must be nonnegative, got {budget}")
     seq = constraint.sequence
-    remaining = budget
-    terms = 0
-    truncated = False
-    partials: list[Fraction] = []
+    members: list[int] = []
     k = 0
     g = 1  # g_k
-    while g <= n_max and not truncated:
-        members = []
-        try:
-            for a in enumerate_block(constraint, k, remaining):
-                if a > n_max:
-                    break
-                members.append(a)
-        except BudgetExceeded:
-            truncated = True
-        remaining -= len(members)
-        terms += len(members)
-        if members:
-            partials.append(sum_reciprocals(members))
+    while g <= n_max and len(members) <= budget:
+        for batch in _batches(constraint, k):
+            members += batch[: bisect_right(batch, n_max)]
+            if batch[-1] > n_max or len(members) > budget:
+                break
         g *= seq.quotient(k)
         k += 1
-    return PartialSum(value=sum_fractions(partials), truncated=truncated, terms=terms)
+    truncated = len(members) > budget
+    del members[budget:]
+    return PartialSum(value=sum_reciprocals(members), truncated=truncated, terms=len(members))
 
 
 def density(constraint: DigitConstraint, n: int) -> Fraction:

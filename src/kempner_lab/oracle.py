@@ -9,13 +9,12 @@ is explicitly not a goal; a hard range cap keeps runs bounded.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import DigitConstraint
-from .errors import RangeTooLarge
+from .errors import RangeTooLarge, check_int
 
 HARD_CAP = 10**7
 
@@ -48,6 +47,8 @@ def _position_tables(constraint: DigitConstraint, hi: int):
 
 def oracle_members(constraint: DigitConstraint, lo: int, hi: int) -> list[int]:
     """All members in [lo, hi], each checked independently."""
+    check_int(lo, "oracle range start")
+    check_int(hi, "oracle range end")
     if not 1 <= lo <= hi or hi > HARD_CAP:
         raise RangeTooLarge(
             f"oracle range must satisfy 1 <= lo <= hi <= {HARD_CAP}, got [{lo}, {hi}]"
@@ -88,6 +89,8 @@ def oracle_sum(constraint: DigitConstraint, lo: int, hi: int) -> Fraction:
 
 def oracle_report(constraint: DigitConstraint, lo: int, hi: int) -> OracleReport:
     """Members, exact sum, and a checksum of the sorted member list."""
+    import hashlib  # here, not at module level: it maps OpenSSL into every process
+
     members = oracle_members(constraint, lo, hi)
     digest = hashlib.sha256(",".join(map(str, members)).encode()).hexdigest()
     return OracleReport(

@@ -54,6 +54,24 @@ def test_sum_and_truncation_exit_code(capsys):
     )
     assert code == 2
     assert "truncated" in err
+    # a budget spent exactly on the members up to --upto is a complete sum
+    code, out, err = run(capsys, "sum", "--upto", "1", "--budget", "1", "--preset", "kempner10")
+    assert (code, out.strip(), err) == (0, "1/1", "")
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, kempner_lab.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -2,18 +2,21 @@ import resource
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kempner_lab as kl
+from kempner_lab import constraints
 from kempner_lab.errors import (
     BitOutOfRange,
     BudgetExceeded,
     DigitOutOfRange,
     EmptyForbiddenSet,
     ForbiddenSetNotProper,
+    InputOutOfRange,
     NonPositiveInput,
     OverrideOutsideIndexSet,
 )
@@ -537,3 +540,117 @@ def test_finite_set_members_actually_stop():
     assert members == kl.oracle_members(c, 1, 3**6 - 1)
     assert kl.is_finite_set(c) == kl.FINITE
     assert max(members) < kl.base_value(c.sequence, 2)
+
+
+# Constant, cyclic, power and factorial rules; a default drawn below the
+# smallest quotient can forbid every nonzero digit somewhere, which empties
+# those blocks (or, on every position, the whole set).
+_RULES = st.sampled_from([
+    kl.constant(2),
+    kl.constant(3),
+    kl.constant(10),
+    kl.explicit([2, 3, 5], extend="cycle"),
+    kl.explicit([3, 2], extend="cycle"),
+    kl.power(2),
+    kl.power(3),
+    kl.factorial(),
+])
+_SMALL_INDEX_SETS = st.sampled_from([
+    kl.AllIndices(),
+    kl.ArithmeticIndices(0, 2),
+    kl.ArithmeticIndices(1, 3),
+    kl.ExplicitIndices(frozenset({1, 2})),
+])
+
+
+@st.composite
+def _small_constraints(draw):
+    seq = draw(_RULES)
+    smallest = min(seq.quotient(i) for i in range(constraints._VALIDATION_HORIZON + 1))
+    default = draw(st.frozensets(st.integers(0, smallest - 1), min_size=1, max_size=smallest - 1))
+    return kl.make_constraint(seq, draw(_SMALL_INDEX_SETS), default=default)
+
+
+def _enumerate(c, k, budget):
+    """(members yielded, BudgetExceeded.produced or None)."""
+    got = []
+    try:
+        for value in kl.enumerate_block(c, k, budget):
+            got.append(value)
+    except BudgetExceeded as exc:
+        return got, exc.produced
+    return got, None
+
+
+@settings(deadline=None, max_examples=60)
+@given(c=_small_constraints(), cap=st.sampled_from([1, 2, 7, constraints._BATCH_CAP]))
+def test_enumerate_block_matches_oracle_members(c, cap):
+    with mock.patch.object(constraints, "_BATCH_CAP", cap):
+        k = 0
+        while kl.base_value(c.sequence, k + 1) <= 20000:
+            members = kl.oracle_members(
+                c, kl.base_value(c.sequence, k), kl.base_value(c.sequence, k + 1) - 1
+            )
+            n = len(members)
+            for budget in {0, n - 1, n, n + 1} - {-1}:
+                assert _enumerate(c, k, budget) == (
+                    members[:budget],
+                    budget if budget < n else None,
+                )
+            k += 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    c=_small_constraints(),
+    cap=st.sampled_from([1, 7, constraints._BATCH_CAP]),
+    n_max=st.integers(1, 5000),
+    data=st.data(),
+)
+def test_partial_sum_matches_oracle_sum(c, cap, n_max, data):
+    members = kl.oracle_members(c, 1, n_max)
+    budget = data.draw(st.none() | st.integers(0, len(members) + 2))
+    kept = members if budget is None else members[:budget]
+    with mock.patch.object(constraints, "_BATCH_CAP", cap):
+        r = kl.partial_sum_exact(c, n_max, budget)
+    # truncated: some member <= n_max was left out, nothing else
+    assert (r.terms, r.truncated) == (len(kept), len(kept) < len(members))
+    assert r.value == (kl.oracle_sum(c, 1, kept[-1]) if kept else 0)
+
+
+def test_deep_block_first_members_in_small_state(power2_no_zero):
+    # d_60 = 2**61: the batch table and the odometer hold O(k + cap) values.
+    k = 60
+    base = sum(2 ** (i * (i + 1) // 2) for i in range(k + 1))  # every digit 1
+    with _address_space_cap(1 << 30):
+        tracemalloc.start()
+        try:
+            got, produced = _enumerate(power2_no_zero, k, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert produced == 5
+    assert got == [base + off for off in (0, 2, 4, 8, 10)]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: kl.count_upto(c, 0.0),
+        lambda c: kl.count_upto(c, 9.5),
+        lambda c: kl.block_count_exact(c, 1.0),
+        lambda c: list(kl.enumerate_block(c, 1.0, 10)),
+        lambda c: list(kl.enumerate_block(c, 1, 10.0)),
+    ],
+)
+def test_non_int_inputs_raise_library_errors(kempner10, call):
+    with pytest.raises((NonPositiveInput, InputOutOfRange)):
+        call(kempner10)
+
+
+def test_bool_inputs_still_accepted(kempner10):
+    assert kl.count_upto(kempner10, True) == 1
+    assert kl.block_count_exact(kempner10, False).exact == 8
+    assert list(kl.enumerate_block(kempner10, False, 8)) == list(range(1, 9))
+    assert _enumerate(kempner10, False, True) == ([1], 1)

@@ -93,6 +93,38 @@ def test_partial_sum_budget_truncation(kempner10):
     assert not kl.partial_sum_exact(kempner10, 10**4).truncated
 
 
+def test_partial_sum_truncated_only_when_a_member_is_left_out(kempner10):
+    # The budget is spent exactly, and the block's next member lies above
+    # n_max: the sum is complete, so it is not truncated.
+    assert kl.partial_sum_exact(kempner10, 1, budget=1) == kl.PartialSum(Fraction(1), False, 1)
+    assert kl.partial_sum_exact(kempner10, 8, budget=8) == kl.PartialSum(
+        kl.oracle_sum(kempner10, 1, 8), False, 8
+    )
+    assert kl.partial_sum_exact(kempner10, 9, budget=8).truncated is False  # 9 is no member
+    assert kl.partial_sum_exact(kempner10, 10, budget=8).truncated
+    assert kl.partial_sum_exact(kempner10, 2, budget=1) == kl.PartialSum(Fraction(1), True, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: kl.partial_sum_exact(c, 9.5),
+        lambda c: kl.partial_sum_exact(c, 9, 2.5),
+        lambda c: kl.partial_sum_exact(c, 9, -1),
+        lambda c: kl.block_reports(c, 2.0),
+        lambda c: kl.density(c, 9.5),
+    ],
+)
+def test_non_int_inputs_raise_library_errors(kempner10, call):
+    with pytest.raises((NonPositiveInput, InputOutOfRange)):
+        call(kempner10)
+
+
+def test_bool_inputs_still_accepted(kempner10):
+    assert kl.partial_sum_exact(kempner10, True, True) == kl.PartialSum(Fraction(1), False, 1)
+    assert len(kl.block_reports(kempner10, False)) == 1
+
+
 def test_density_examples(kempner10):
     assert kl.density(kempner10, 999) == Fraction(728, 999)
     assert kl.density(kempner10, 9) == Fraction(8, 9)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import kempner_lab as kl
-from kempner_lab.errors import RangeTooLarge
+from kempner_lab.errors import InputOutOfRange, RangeTooLarge
 from kempner_lab.oracle import _half_sum, block_mismatches
 
 
@@ -91,3 +91,18 @@ def test_half_sum_equals_plain_fraction_sum(kempner10, lo, hi):
     for a in members[lo:hi]:
         plain += Fraction(1, a)
     assert _half_sum(members, lo, hi) == plain
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 9.5), (1.0, 9), (1, "9")])
+def test_non_int_range_raises_library_error(kempner10, lo, hi):
+    with pytest.raises(InputOutOfRange):
+        kl.oracle_sum(kempner10, lo, hi)
+    with pytest.raises(InputOutOfRange):
+        kl.oracle_members(kempner10, lo, hi)
+
+
+def test_oracle_report_checksum_is_stable(kempner10):
+    # sha256 of "1,2,...,8,10,...,18,20"
+    report = kl.oracle_report(kempner10, 1, 20)
+    assert report.members == 18
+    assert report.checksum == "25c9d3668132ddc127cf92db607860c495c6fb67c0ab1c35df6979a0ded4a2a9"
