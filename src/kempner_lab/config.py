@@ -9,10 +9,10 @@ stable, so documents round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import indexsets
+from ._record import record
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
 from .gadic import RULE_KINDS, QuotientSequence, make_sequence
@@ -20,7 +20,7 @@ from .gadic import RULE_KINDS, QuotientSequence, make_sequence
 INDEX_KINDS = ("all", "explicit", "arithmetic", "powers-of", "complement")
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     sequence: QuotientSequence
     constraint: DigitConstraint | None

@@ -22,11 +22,11 @@ farthest position any call has reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Mapping
 
 from . import indexsets
+from ._record import record
 from .errors import (
     BitOutOfRange,
     BudgetExceeded,
@@ -56,7 +56,7 @@ _UNCONSTRAINED = frozenset()
 _BATCH_CAP = 512  # most entries in the lowest-position table of ``_batches``
 
 
-@dataclass(frozen=True)
+@record
 class DigitConstraint:
     sequence: QuotientSequence
     index_set: IndexSet
@@ -216,7 +216,7 @@ def is_member(constraint: DigitConstraint, n: int) -> bool:
         object.__setattr__(constraint, "_rows", have + tuple(new))
 
 
-@dataclass(frozen=True)
+@record
 class BlockCount:
     """Exact size of block A_k plus the two-sided product bound."""
 

@@ -11,9 +11,9 @@ index is reachable and growth classification stays decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .errors import (
     BoundHintViolated,
     DigitOutOfRange,
@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveInput,
     QuotientTooSmall,
     ZeroLeadingDigit,
+    check_int,
 )
 
 RULE_KINDS = ("constant", "explicit", "power", "factorial")
@@ -45,7 +46,7 @@ def _native_tables(d: int) -> tuple[str | None, bytes | None, bytes]:
     return spec, to_table, _DIGIT_CHARS[:d] + b"!" * (256 - d)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientSequence:
     """A rule generating the quotient at every digit position.
 
@@ -79,6 +80,8 @@ class QuotientSequence:
 
     def quotient(self, i: int) -> int:
         """Quotient d_i at position i; checks any declared bound."""
+        if type(i) is not int:  # hot: call check_int only off the plain-int path (a bool passes)
+            check_int(i, "digit position")
         if i < 0:
             raise InputOutOfRange(f"negative digit position {i}")
         if self.kind == "constant":
@@ -175,7 +178,7 @@ def factorial() -> QuotientSequence:
     return make_sequence("factorial")
 
 
-@dataclass(frozen=True)
+@record
 class Numeral:
     """Digit vector of a positive integer, least significant digit first."""
 
@@ -203,6 +206,7 @@ def _quotient_prefix(seq: QuotientSequence, n: int) -> tuple[int, ...]:
 
 def base_value(seq: QuotientSequence, k: int) -> int:
     """Place value g_k = d_0 * d_1 * ... * d_{k-1}; g_0 = 1.  Exact."""
+    check_int(k, "index")
     if k < 0:
         raise InputOutOfRange(f"negative index {k}")
     g = 1

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count_from
 
 from . import indexsets
+from ._record import record
 from .constraints import (
     FINITE,
     UNKNOWN,
@@ -61,7 +61,7 @@ RULE_FINITE = "finite-member-set"
 DELTA_GRID = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 20))
 
 
-@dataclass(frozen=True)
+@record
 class BlockReport:
     """Exact two-sided bracket on one block's reciprocal sum."""
 
@@ -75,7 +75,7 @@ class BlockReport:
     cumulative_hi: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Margin:
     """Numbers backing a verdict: the delta used and the index past which
     the certified inequality holds.  Only the ratio-tail test fills
@@ -89,7 +89,7 @@ class Margin:
     window: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     verdict: str
     rule_fired: str | None = None
@@ -97,7 +97,7 @@ class Classification:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class PartialSum:
     value: Fraction
     truncated: bool
@@ -196,6 +196,8 @@ def tail_upper_estimate(constraint: DigitConstraint, k0: int, K: int) -> Fractio
     d = constraint.sequence.bound_hint
     if d is None:
         raise MissingBoundHint("upper tail estimate needs a declared quotient bound")
+    check_int(k0, "k0")
+    check_int(K, "K")
     if not 0 <= k0 <= K:
         raise InputOutOfRange(f"need 0 <= k0 <= K, got k0={k0}, K={K}")
     ratio = 1 - Fraction(1, d)
@@ -209,6 +211,8 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
     """(1/2) * sum over nonempty blocks k = k1..K of the allowed-ratio
     product prod_{i in I, i <= k} (1 - |U_i|/d_i): a certified lower bound
     for the reciprocal sum over those blocks."""
+    check_int(k1, "k1")
+    check_int(K, "K")
     if not 0 <= k1 <= K:
         raise InputOutOfRange(f"need 0 <= k1 <= K, got k1={k1}, K={K}")
     product = Fraction(1)

@@ -10,14 +10,14 @@ function count(k) = |I ∩ [0, k]|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import record
 from .errors import InputOutOfRange
 
 
-@dataclass(frozen=True)
+@record
 class AllIndices:
     def contains(self, i: int) -> bool:
         return i >= 0
@@ -26,7 +26,7 @@ class AllIndices:
         return k + 1 if k >= 0 else 0
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitIndices:
     indices: frozenset[int]
 
@@ -43,7 +43,7 @@ class ExplicitIndices:
         return sum(1 for i in self.indices if i <= k)
 
 
-@dataclass(frozen=True)
+@record
 class ArithmeticIndices:
     """{first, first + step, first + 2*step, ...}"""
 
@@ -65,7 +65,7 @@ class ArithmeticIndices:
         return (k - self.first) // self.step + 1
 
 
-@dataclass(frozen=True)
+@record
 class PowerIndices:
     """{1, base, base**2, ...}"""
 
@@ -93,7 +93,7 @@ class PowerIndices:
         return n
 
 
-@dataclass(frozen=True)
+@record
 class ComplementIndices:
     inner: "IndexSet"
 
@@ -182,7 +182,7 @@ GROWTH_LOG = "log"
 GROWTH_BOUNDED = "bounded"
 
 
-@dataclass(frozen=True)
+@record
 class Growth:
     kind: str
     slope: Fraction = Fraction(0)

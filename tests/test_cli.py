@@ -6,7 +6,6 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ import pytest
 import kempner_lab.cli as cli
 from kempner_lab.config import parse_dict, parse_json, to_dict, to_json
 from kempner_lab.errors import ConfigInvalid
+from kempner_lab.harmonic import BlockReport
 from kempner_lab.presets import preset_config, preset_names
 
 
@@ -74,6 +74,23 @@ def test_cli_import_leaves_openssl_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def modules(statement):
+        probe = f"import sys; {statement}; print(' '.join(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = modules("import kempner_lab.cli") - modules("pass")
+    assert "kempner_lab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "10")
     code, _, err = run(capsys, "sum", "--upto", "1000000", "--preset", "kempner10")
@@ -118,12 +135,18 @@ def test_blocks_check_passes(capsys):
     assert "oracle agrees" in err
 
 
+def _count_plus_one(r):
+    return BlockReport(
+        r.k, r.g_lo, r.g_hi, r.count + 1, r.bracket_lo, r.bracket_hi, r.cumulative_lo, r.cumulative_hi
+    )
+
+
 def _tamper_first_block(monkeypatch):
     real = cli.block_reports
 
     def tampered(constraint, max_k):
         first = real(constraint, 0)[0]
-        return [replace(first, count=first.count + 1)]
+        return [_count_plus_one(first)]
 
     monkeypatch.setattr(cli, "block_reports", tampered)
 
@@ -148,7 +171,7 @@ def test_blocks_check_reports_every_mismatching_block(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "block_reports",
-        lambda c, max_k: [replace(r, count=r.count + 1) for r in real(c, max_k)],
+        lambda c, max_k: [_count_plus_one(r) for r in real(c, max_k)],
     )
     code, _, err = run(capsys, "blocks", "--max-k", "2", "--preset", "kempner10", "--check")
     assert code == 3

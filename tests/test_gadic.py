@@ -9,6 +9,7 @@ from kempner_lab.errors import (
     BoundHintViolated,
     DigitOutOfRange,
     EmptyExplicitList,
+    InputOutOfRange,
     NonPositiveInput,
     QuotientTooSmall,
     ZeroLeadingDigit,
@@ -273,3 +274,15 @@ def test_constant_below_its_bound_hint_still_raises():
         kl.to_digits(seq, 409)
     with pytest.raises(BoundHintViolated):
         kl.from_digits(kl.Numeral((9, 0, 4), seq))
+
+
+def test_base_value_rejects_non_int_index():
+    with pytest.raises(InputOutOfRange, match="must be an integer, got 2.0"):
+        kl.base_value(kl.constant(10), 2.0)
+    assert kl.base_value(kl.constant(10), True) == 10
+
+
+@pytest.mark.parametrize("seq, i", [(kl.power(2), 1.5), (kl.constant(10), 1.0)])
+def test_quotient_rejects_non_int_position(seq, i):
+    with pytest.raises(InputOutOfRange, match="digit position must be an integer"):
+        seq.quotient(i)

@@ -396,3 +396,18 @@ def test_classify_finite_index_set_with_unbounded_quotients_is_inconclusive():
     r = kl.classify(c)
     assert r.verdict == kl.INCONCLUSIVE
     assert any("infinitely many constrained positions" in n for n in r.notes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, p: kl.tail_lower_estimate(p, 0.5, 5),
+        lambda c, p: kl.tail_upper_estimate(c, 1.0, 5),
+        lambda c, p: kl.tail_upper_estimate(c, 1, 5.0),
+        lambda c, p: kl.tail_lower_estimate(p, 0, 5.5),
+    ],
+    ids=["lower-k1", "upper-k0", "upper-K", "lower-K"],
+)
+def test_tail_estimates_reject_non_int_indices(kempner10, power2_no_zero, call):
+    with pytest.raises(InputOutOfRange, match="must be an integer"):
+        call(kempner10, power2_no_zero)
