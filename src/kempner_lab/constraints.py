@@ -107,10 +107,13 @@ def make_constraint(
     is allowed only when the index set is finite and fully overridden.
     """
     default_f = frozenset(default) if default else None
+    for v in default_f or ():
+        check_int(v, "forbidden digit", DigitOutOfRange)
     if default_f and min(default_f) < 0:
         raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(default_f)}")
     over: list[tuple[int, frozenset[int]]] = []
     for i, s in sorted((overrides or {}).items()):
+        check_int(i, "override position")
         if not index_set.contains(i):
             raise OverrideOutsideIndexSet(
                 f"override at position {i} which the index set does not constrain"
@@ -118,6 +121,8 @@ def make_constraint(
         sf = frozenset(s)
         if not sf:
             raise EmptyForbiddenSet(f"override at position {i} is empty")
+        for v in sf:
+            check_int(v, "forbidden digit", DigitOutOfRange)
         if min(sf) < 0:
             raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(sf)}")
         _check_forbidden(sf, seq.quotient(i), i)
@@ -157,6 +162,8 @@ def fixed_bits(bits: Mapping[int, int]) -> DigitConstraint:
     if not bits:
         raise BitOutOfRange("fixed-bits map must be nonempty")
     for i, v in bits.items():
+        check_int(i, "bit position", BitOutOfRange)
+        check_int(v, f"bit value at position {i}", BitOutOfRange)
         if i < 0:
             raise BitOutOfRange(f"bit position {i} is negative")
         if v not in (0, 1):

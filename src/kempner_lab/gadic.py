@@ -122,6 +122,9 @@ def make_sequence(
     """
     if kind not in RULE_KINDS:
         raise ValueError(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
+    for name, value in (("d", d), ("base", base), ("bound_hint", bound_hint)):
+        if value is not None:
+            check_int(value, name)
     if kind == "constant":
         if d is None or d < 2:
             raise QuotientTooSmall(f"constant quotient must be >= 2, got {d}")
@@ -130,7 +133,9 @@ def make_sequence(
     if kind == "explicit":
         if not values:
             raise EmptyExplicitList("explicit rule needs at least one quotient")
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        for v in vals:
+            check_int(v, "explicit quotient")
         small = [v for v in vals if v < 2]
         if small:
             raise QuotientTooSmall(f"explicit quotients must all be >= 2, got {small[0]}")

@@ -166,6 +166,7 @@ def partial_sum_exact(
 
 def density(constraint: DigitConstraint, n: int) -> Fraction:
     """Member count up to n divided by n, exact."""
+    check_int(n, "density point", NonPositiveInput)
     if n < 1:
         raise NonPositiveInput(f"density point must be >= 1, got {n}")
     return Fraction(count_upto(constraint, n), n)

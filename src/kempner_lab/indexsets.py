@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import record
-from .errors import InputOutOfRange
+from .errors import InputOutOfRange, check_int
 
 
 @record
@@ -33,6 +33,8 @@ class ExplicitIndices:
     def __post_init__(self):
         if not self.indices:
             raise InputOutOfRange("explicit index set must be nonempty")
+        for i in self.indices:
+            check_int(i, "index set entry")
         if any(i < 0 for i in self.indices):
             raise InputOutOfRange("index set entries must be nonnegative")
 
@@ -51,6 +53,8 @@ class ArithmeticIndices:
     step: int
 
     def __post_init__(self):
+        check_int(self.first, "first term")
+        check_int(self.step, "step")
         if self.first < 0:
             raise InputOutOfRange(f"first term must be nonnegative, got {self.first}")
         if self.step < 1:
@@ -72,6 +76,7 @@ class PowerIndices:
     base: int
 
     def __post_init__(self):
+        check_int(self.base, "power index base")
         if self.base < 2:
             raise InputOutOfRange(f"power index base must be >= 2, got {self.base}")
 

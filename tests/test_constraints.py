@@ -654,3 +654,30 @@ def test_bool_inputs_still_accepted(kempner10):
     assert kl.block_count_exact(kempner10, False).exact == 8
     assert list(kl.enumerate_block(kempner10, False, 8)) == list(range(1, 9))
     assert _enumerate(kempner10, False, True) == ([1], 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: kl.make_constraint(kl.constant(10), kl.AllIndices(), default={1.5}),
+            DigitOutOfRange,
+            "forbidden digit must be an integer, got 1.5",
+        ),
+        (
+            lambda: kl.make_constraint(kl.constant(10), kl.AllIndices(), default={9}, overrides={2: [2.0]}),
+            DigitOutOfRange,
+            "forbidden digit must be an integer, got 2.0",
+        ),
+        (
+            lambda: kl.make_constraint(kl.constant(10), kl.AllIndices(), default={9}, overrides={2.0: [2]}),
+            InputOutOfRange,
+            "override position must be an integer, got 2.0",
+        ),
+        (lambda: kl.fixed_bits({0: 1.0}), BitOutOfRange, "bit value at position 0 must be an integer, got 1.0"),
+        (lambda: kl.fixed_bits({1.5: 1}), BitOutOfRange, "bit position must be an integer, got 1.5"),
+    ],
+)
+def test_constraint_constructors_reject_non_int_parameters(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

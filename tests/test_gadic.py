@@ -286,3 +286,19 @@ def test_base_value_rejects_non_int_index():
 def test_quotient_rejects_non_int_position(seq, i):
     with pytest.raises(InputOutOfRange, match="digit position must be an integer"):
         seq.quotient(i)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kl.power(2.0), "base must be an integer, got 2.0"),
+        (lambda: kl.explicit([2.5, 3]), "explicit quotient must be an integer, got 2.5"),
+        (lambda: kl.explicit([3, 4], bound_hint=4.0), "bound_hint must be an integer, got 4.0"),
+        (lambda: kl.constant(10.5), "d must be an integer, got 10.5"),
+        (lambda: kl.constant("10"), "d must be an integer, got '10'"),
+        (lambda: kl.constant(10, bound_hint=12.5), "bound_hint must be an integer, got 12.5"),
+    ],
+)
+def test_sequence_constructors_reject_non_int_parameters(call, message):
+    with pytest.raises(InputOutOfRange, match=message):
+        call()

@@ -80,7 +80,7 @@ def test_partial_sum_examples(kempner10, power2_no_zero):
 
 def test_partial_sum_matches_oracle(kempner10, power2_no_zero, div_log):
     for c in (kempner10, power2_no_zero, div_log):
-        for n_max in (1, 7, 99, 1234, 20000):
+        for n_max in (1, 7, 99, 1234, 20000, 10**5 - 1):
             assert kl.partial_sum_exact(c, n_max).value == kl.oracle_sum(c, 1, n_max)
 
 
@@ -113,6 +113,7 @@ def test_partial_sum_truncated_only_when_a_member_is_left_out(kempner10):
         lambda c: kl.partial_sum_exact(c, 9, -1),
         lambda c: kl.block_reports(c, 2.0),
         lambda c: kl.density(c, 9.5),
+        lambda c: kl.density(c, "5"),
     ],
 )
 def test_non_int_inputs_raise_library_errors(kempner10, call):

@@ -111,3 +111,17 @@ def test_powers_count_closed_form(k, b):
         expected += 1
         value *= b
     assert p.count(k) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ixs.ArithmeticIndices(1.5, 2), "first term must be an integer, got 1.5"),
+        (lambda: ixs.ArithmeticIndices(1, 2.0), "step must be an integer, got 2.0"),
+        (lambda: ixs.PowerIndices(2.0), "power index base must be an integer, got 2.0"),
+        (lambda: ixs.ExplicitIndices(frozenset({1.5})), "index set entry must be an integer, got 1.5"),
+    ],
+)
+def test_index_sets_reject_non_int_parameters(call, message):
+    with pytest.raises(InputOutOfRange, match=message):
+        call()
