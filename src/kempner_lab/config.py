@@ -41,6 +41,14 @@ def _expect_int(doc: dict, key: str, path: str, required: bool = True) -> int | 
     return v
 
 
+def _int_list(value, path: str) -> list:
+    if not isinstance(value, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigInvalid(path, "expected a list of integers")
+    return value
+
+
 def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
@@ -52,11 +60,7 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
         if kind == "constant":
             return make_sequence("constant", d=_expect_int(doc, "d", path), bound_hint=bound_hint)
         if kind == "explicit":
-            values = doc.get("values")
-            if not isinstance(values, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in values
-            ):
-                raise ConfigInvalid(f"{path}.values", "expected a list of integers")
+            values = _int_list(doc.get("values"), f"{path}.values")
             extend = doc.get("extend", "repeat-last")
             if extend not in ("repeat-last", "cycle"):
                 raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
@@ -80,11 +84,7 @@ def _parse_index_set(doc, path: str) -> indexsets.IndexSet:
         if kind == "all":
             return indexsets.AllIndices()
         if kind == "explicit":
-            indices = doc.get("indices")
-            if not isinstance(indices, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in indices
-            ):
-                raise ConfigInvalid(f"{path}.indices", "expected a list of integers")
+            indices = _int_list(doc.get("indices"), f"{path}.indices")
             return indexsets.ExplicitIndices(frozenset(indices))
         if kind == "arithmetic":
             return indexsets.ArithmeticIndices(
@@ -106,11 +106,7 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
     forbidden = doc.get("forbidden")
     if not isinstance(forbidden, dict):
         raise ConfigInvalid(f"{path}.forbidden", "expected an object")
-    default = forbidden.get("default", [])
-    if not isinstance(default, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in default
-    ):
-        raise ConfigInvalid(f"{path}.forbidden.default", "expected a list of integers")
+    default = _int_list(forbidden.get("default", []), f"{path}.forbidden.default")
     overrides_doc = forbidden.get("overrides", {})
     if not isinstance(overrides_doc, dict):
         raise ConfigInvalid(f"{path}.forbidden.overrides", "expected an object keyed by position")
@@ -122,13 +118,7 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
             raise ConfigInvalid(
                 f"{path}.forbidden.overrides.{key}", "keys must be integer positions"
             )
-        if not isinstance(val, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in val
-        ):
-            raise ConfigInvalid(
-                f"{path}.forbidden.overrides.{key}", "expected a list of integers"
-            )
-        overrides[i] = set(val)
+        overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))
     try:
         return make_constraint(seq, index_set, default=default or None, overrides=overrides)
     except KempnerLabError as exc:

@@ -106,11 +106,15 @@ def make_constraint(
     Every override index must belong to the index set.  A missing default
     is allowed only when the index set is finite and fully overridden.
     """
-    default_f = frozenset(default) if default else None
-    for v in default_f or ():
-        check_int(v, "forbidden digit", DigitOutOfRange)
-    if default_f and min(default_f) < 0:
-        raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(default_f)}")
+    def checked(s) -> frozenset[int]:
+        sf = frozenset(s)
+        for v in sf:
+            check_int(v, "forbidden digit", DigitOutOfRange)
+        if min(sf, default=0) < 0:
+            raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(sf)}")
+        return sf
+
+    default_f = checked(default) if default else None
     over: list[tuple[int, frozenset[int]]] = []
     for i, s in sorted((overrides or {}).items()):
         check_int(i, "override position")
@@ -118,21 +122,17 @@ def make_constraint(
             raise OverrideOutsideIndexSet(
                 f"override at position {i} which the index set does not constrain"
             )
-        sf = frozenset(s)
+        sf = checked(s)
         if not sf:
             raise EmptyForbiddenSet(f"override at position {i} is empty")
-        for v in sf:
-            check_int(v, "forbidden digit", DigitOutOfRange)
-        if min(sf) < 0:
-            raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(sf)}")
         _check_forbidden(sf, seq.quotient(i), i)
         over.append((i, sf))
 
     if default_f is None:
-        covered = {i for i, _ in over}
-        if not indexsets.is_finite(index_set) or any(
-            i not in covered for i in _finite_members(index_set)
-        ):
+        # Every override lies in I, so I is fully overridden exactly when
+        # it is finite with |I| overrides.
+        growth = indexsets.growth(index_set)
+        if growth.kind != indexsets.GROWTH_BOUNDED or growth.limit != len(over):
             raise EmptyForbiddenSet(
                 "no default forbidden set and the index set is not fully overridden"
             )
@@ -142,19 +142,6 @@ def make_constraint(
     # of range wherever that is decidable up front.
     rows(constraint, _VALIDATION_HORIZON + 1)
     return constraint
-
-
-def _finite_members(ix: IndexSet) -> list[int]:
-    ix = indexsets.normalize(ix)
-    if isinstance(ix, ExplicitIndices):
-        return sorted(ix.indices)
-    if isinstance(ix, indexsets.ComplementIndices):
-        inner = indexsets.normalize(ix.inner)
-        if isinstance(inner, indexsets.AllIndices):
-            return []
-        if isinstance(inner, indexsets.ArithmeticIndices) and inner.step == 1:
-            return list(range(inner.first))
-    raise AssertionError("finite member listing requested for a non-finite rule")
 
 
 def fixed_bits(bits: Mapping[int, int]) -> DigitConstraint:

@@ -121,7 +121,7 @@ def make_sequence(
     ``factorial`` (d_i = i + 2).
     """
     if kind not in RULE_KINDS:
-        raise ValueError(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
+        raise InputOutOfRange(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
     for name, value in (("d", d), ("base", base), ("bound_hint", bound_hint)):
         if value is not None:
             check_int(value, name)
@@ -140,7 +140,7 @@ def make_sequence(
         if small:
             raise QuotientTooSmall(f"explicit quotients must all be >= 2, got {small[0]}")
         if extend not in EXTEND_MODES:
-            raise ValueError(f"unknown extension mode {extend!r}; expected one of {EXTEND_MODES}")
+            raise InputOutOfRange(f"unknown extension mode {extend!r}; expected one of {EXTEND_MODES}")
         hint = _checked_hint(bound_hint, max(vals))
         return QuotientSequence(kind="explicit", values=vals, extend=extend, bound_hint=hint)
     if kind == "power":

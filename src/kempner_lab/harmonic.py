@@ -185,6 +185,7 @@ def weierstrass_lower(xs) -> Fraction:
 
 def _ratio_at(constraint: DigitConstraint, i: int) -> Fraction:
     """|U_i| / d_i for a constrained position i."""
+    # Random access, not ``rows``: the window check reads sparse far members.
     forbidden = constraint.forbidden_at(i)
     assert forbidden is not None
     return Fraction(len(forbidden), constraint.sequence.quotient(i))
@@ -231,7 +232,10 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
 def _delta_candidates(delta) -> tuple[Fraction, ...]:
     if delta is None:
         return DELTA_GRID
-    f = Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
+    try:
+        f = Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputOutOfRange(f"delta must be a rational number, got {delta!r}") from exc
     if f <= 0:
         raise InputOutOfRange(f"delta must be positive, got {f}")
     return (f,)
@@ -459,7 +463,7 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     if finiteness == UNKNOWN:
         raise SetFinitenessUnknown("cannot certify the member set is infinite")
 
-    if not indexsets.is_infinite(constraint.index_set):
+    if indexsets.is_finite(constraint.index_set):
         return Classification(
             verdict=INCONCLUSIVE,
             notes=("the divergence test needs infinitely many constrained positions",),

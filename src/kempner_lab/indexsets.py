@@ -3,9 +3,10 @@
 Five rule families describe which digit positions carry a forbidden set:
 every position, an explicit finite set, an arithmetic progression, the
 powers of a fixed base, or the complement of another rule.  Keeping the
-algebra closed makes three questions decidable symbolically: membership,
-finiteness/cofiniteness, and the asymptotic growth of the counting
-function count(k) = |I ∩ [0, k]|.
+algebra closed makes two questions decidable symbolically: membership and
+the asymptotic growth of the counting function count(k) = |I ∩ [0, k]|.
+Finiteness and cofiniteness are read off that growth envelope: I is finite
+exactly when count(k) is bounded, and cofinite when its complement is.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class PowerIndices:
 class ComplementIndices:
     inner: "IndexSet"
 
+    def __post_init__(self):
+        if not isinstance(self.inner, IndexSet):
+            raise InputOutOfRange(f"complement needs an index set, got {self.inner!r}")
+
     def contains(self, i: int) -> bool:
         return i >= 0 and not self.inner.contains(i)
 
@@ -119,30 +124,6 @@ def normalize(ix: IndexSet) -> IndexSet:
     while isinstance(ix, ComplementIndices) and isinstance(ix.inner, ComplementIndices):
         ix = ix.inner.inner
     return ix
-
-
-def is_finite(ix: IndexSet) -> bool:
-    ix = normalize(ix)
-    if isinstance(ix, ExplicitIndices):
-        return True
-    if isinstance(ix, ComplementIndices):
-        return is_cofinite(ix.inner)
-    return False
-
-
-def is_cofinite(ix: IndexSet) -> bool:
-    ix = normalize(ix)
-    if isinstance(ix, AllIndices):
-        return True
-    if isinstance(ix, ArithmeticIndices):
-        return ix.step == 1
-    if isinstance(ix, ComplementIndices):
-        return is_finite(ix.inner)
-    return False
-
-
-def is_infinite(ix: IndexSet) -> bool:
-    return not is_finite(ix)
 
 
 def iter_members_between(ix: IndexSet, lo: int, hi: int):
@@ -212,11 +193,7 @@ def growth(ix: IndexSet) -> Growth:
         return Growth(GROWTH_BOUNDED, limit=len(ix.indices), valid_from=max(ix.indices))
     if isinstance(ix, PowerIndices):
         return Growth(GROWTH_LOG, log_base=ix.base, valid_from=1)
-    return _complement_growth(ix.inner)
-
-
-def _complement_growth(inner: IndexSet) -> Growth:
-    inner = normalize(inner)
+    inner = ix.inner  # not itself a complement, once normalized
     if isinstance(inner, AllIndices):
         return Growth(GROWTH_BOUNDED, limit=0, valid_from=0)
     if isinstance(inner, ExplicitIndices):
@@ -230,7 +207,13 @@ def _complement_growth(inner: IndexSet) -> Growth:
             )
         # inner.count(k) <= k/step + 1, so count(k) >= k (1 - 1/step)
         return Growth(GROWTH_LINEAR, slope=1 - Fraction(1, inner.step), offset=Fraction(0))
-    if isinstance(inner, PowerIndices):
-        # inner.count(k) <= log2(k) + 1 <= k/2 + 1 for k >= 4
-        return Growth(GROWTH_LINEAR, slope=Fraction(1, 2), offset=Fraction(0), valid_from=4)
-    raise AssertionError("unreachable: nested complements are normalized away")
+    # inner is PowerIndices: inner.count(k) <= log2(k) + 1 <= k/2 + 1 for k >= 4
+    return Growth(GROWTH_LINEAR, slope=Fraction(1, 2), offset=Fraction(0), valid_from=4)
+
+
+def is_finite(ix: IndexSet) -> bool:
+    return growth(ix).kind == GROWTH_BOUNDED
+
+
+def is_cofinite(ix: IndexSet) -> bool:
+    return is_finite(ComplementIndices(ix))

@@ -55,6 +55,24 @@ def test_make_constraint_empty_default():
         kl.make_constraint(kl.constant(10), kl.AllIndices(), default=set())
 
 
+@pytest.mark.parametrize(
+    "index_set, members",
+    [
+        (kl.ExplicitIndices(frozenset({0, 3, 7})), [0, 3, 7]),
+        (kl.ComplementIndices(kl.AllIndices()), []),
+        (kl.ComplementIndices(kl.ArithmeticIndices(3, 1)), [0, 1, 2]),
+        (kl.ComplementIndices(kl.ComplementIndices(kl.ExplicitIndices(frozenset({2, 5})))), [2, 5]),
+    ],
+)
+def test_no_default_needs_every_member_overridden(index_set, members):
+    seq = kl.constant(10)
+    c = kl.make_constraint(seq, index_set, overrides={i: {1} for i in members})
+    assert c.default_forbidden is None and [i for i, _ in c.overrides] == members
+    for left_out in members:
+        with pytest.raises(EmptyForbiddenSet, match="not fully overridden"):
+            kl.make_constraint(seq, index_set, overrides={i: {1} for i in members if i != left_out})
+
+
 def test_override_validation():
     seq = kl.constant(10)
     with pytest.raises(OverrideOutsideIndexSet):

@@ -302,3 +302,15 @@ def test_quotient_rejects_non_int_position(seq, i):
 def test_sequence_constructors_reject_non_int_parameters(call, message):
     with pytest.raises(InputOutOfRange, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kl.make_sequence("foo"), "unknown quotient rule 'foo'"),
+        (lambda: kl.explicit([3], extend="x"), "unknown extension mode 'x'"),
+    ],
+)
+def test_unknown_rule_names_raise_input_out_of_range(call, message):
+    with pytest.raises(InputOutOfRange, match=message):
+        call()

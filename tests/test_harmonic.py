@@ -412,3 +412,9 @@ def test_classify_finite_index_set_with_unbounded_quotients_is_inconclusive():
 def test_tail_estimates_reject_non_int_indices(kempner10, power2_no_zero, call):
     with pytest.raises(InputOutOfRange, match="must be an integer"):
         call(kempner10, power2_no_zero)
+
+
+@pytest.mark.parametrize("delta", ["x", "1/0"])
+def test_classify_rejects_a_delta_that_is_not_rational(kempner10, delta):
+    with pytest.raises(InputOutOfRange, match="delta must be a rational number"):
+        kl.classify(kempner10, delta=delta)

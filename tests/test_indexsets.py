@@ -120,8 +120,28 @@ def test_powers_count_closed_form(k, b):
         (lambda: ixs.ArithmeticIndices(1, 2.0), "step must be an integer, got 2.0"),
         (lambda: ixs.PowerIndices(2.0), "power index base must be an integer, got 2.0"),
         (lambda: ixs.ExplicitIndices(frozenset({1.5})), "index set entry must be an integer, got 1.5"),
+        (lambda: ixs.ComplementIndices(5), "complement needs an index set, got 5"),
     ],
 )
 def test_index_sets_reject_non_int_parameters(call, message):
     with pytest.raises(InputOutOfRange, match=message):
         call()
+
+
+_BASE_RULES = st.one_of(
+    st.just(ixs.AllIndices()),
+    st.frozensets(st.integers(0, 63), min_size=1).map(ixs.ExplicitIndices),
+    st.builds(ixs.ArithmeticIndices, st.integers(0, 63), st.integers(1, 5)),
+    st.integers(2, 5).map(ixs.PowerIndices),
+)
+
+
+@given(base=_BASE_RULES, depth=st.integers(0, 4))
+def test_finiteness_matches_the_counting_function(base, depth):
+    """Finite exactly when no member lies in (64, 4096]; cofinite exactly
+    when no uncounted position does.  Every finite member is below 64."""
+    ix = base
+    for _ in range(depth):
+        ix = ixs.ComplementIndices(ix)
+    assert ixs.is_finite(ix) == (ix.count(64) == ix.count(4096))
+    assert ixs.is_cofinite(ix) == (65 - ix.count(64) == 4097 - ix.count(4096))
