@@ -125,7 +125,9 @@ def make_constraint(
         sf = checked(s)
         if not sf:
             raise EmptyForbiddenSet(f"override at position {i} is empty")
-        _check_forbidden(sf, seq.quotient(i), i)
+        # Power rule: d_i >= 2**(i+1) > |U| when max(U) < 2**i, so far overrides skip building d_i
+        if seq.kind != "power" or max(sf).bit_length() > i:
+            _check_forbidden(sf, seq.quotient(i), i)
         over.append((i, sf))
 
     if default_f is None:

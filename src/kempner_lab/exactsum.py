@@ -53,6 +53,13 @@ def add_reduced(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return num, den
 
 
+def from_coprime(num: int, den: int) -> Fraction:
+    """num/den, for coprime num and den > 0, as a Fraction without a gcd."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = num, den
+    return out
+
+
 def _add_coprime(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """a/b + c/d for reduced inputs with coprime b and d; reduced."""
     return a * d + c * b, b * d
@@ -78,9 +85,7 @@ def _merge(pairs: Iterable[tuple[int, int]], add=None) -> Fraction:
     # A zero term leaves den 0, if no gcd failed on it; den < 0 carries the sign.
     if not den:
         raise ZeroDivisionError("reciprocal of zero in an exact sum")
-    out = object.__new__(Fraction)
-    out._numerator, out._denominator = (-num, -den) if den < 0 else (num, den)
-    return out
+    return from_coprime(-num, -den) if den < 0 else from_coprime(num, den)
 
 
 def _runs(values: Iterable[int]):
@@ -136,9 +141,7 @@ def _split_sum(mark: bytearray) -> Fraction:
     low = small.denominator * big_l
     top = small.numerator * big_l * large.denominator + large.numerator * small.denominator
     g = gcd(top, low)
-    out = object.__new__(Fraction)
-    out._numerator, out._denominator = top // g, low // g * large.denominator
-    return out
+    return from_coprime(top // g, low // g * large.denominator)
 
 
 def sum_reciprocals(values: Iterable[int]) -> Fraction:

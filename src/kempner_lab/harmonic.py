@@ -2,8 +2,9 @@
 
 Per-block reciprocal sums are bracketed exactly: every member of block k
 lies in [g_k, g_{k+1} - 1], so the block sum lies between |A_k|/g_{k+1}
-and |A_k|/g_k.  Partial sums are exact rationals computed by block
-enumeration under an element budget.
+and |A_k|/g_k.  Brackets and tail estimates come from int numerators over
+the place values and a few gcds, not from running Fraction sums.  Partial
+sums are exact rationals computed by block enumeration under a budget.
 
 Convergence or divergence verdicts come only from symbolically certified
 hypotheses over the closed rule algebra.  Two tests exist: for sequences
@@ -41,7 +42,7 @@ from .errors import (
     SetIsFinite,
     check_int,
 )
-from .exactsum import sum_fractions, sum_reciprocals
+from .exactsum import from_coprime, sum_fractions, sum_reciprocals
 from .indexsets import GROWTH_BOUNDED, GROWTH_LINEAR, GROWTH_LOG, Growth
 
 DEFAULT_BUDGET = 10**6
@@ -105,23 +106,33 @@ class PartialSum:
 
 
 def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
-    """BlockReports for k = 0..max_k with running cumulative brackets."""
+    """BlockReports for k = 0..max_k with running cumulative brackets, in
+    ints: below/g_k kept reduced as p/q (gcds with small operands only) and
+    the cumulative brackets as numerators over g_{k+1}, one gcd each."""
     check_int(max_k, "max_k")
     if max_k < 0:
         raise InputOutOfRange(f"max_k must be nonnegative, got {max_k}")
+    gcd = math.gcd
     out = []
-    cum_lo = Fraction(0)
-    cum_hi = Fraction(0)
-    below = 1
-    g = 1
+    below = g = p = q = 1
+    cum_lo = cum_hi = 0
     for k, (d, _, allowed, leading) in enumerate(rows(constraint, max_k + 1)[: max_k + 1]):
         g_hi = g * d
         n = below * leading
-        lo = Fraction(n, g_hi)
-        hi = Fraction(n, g)
-        cum_lo += lo
-        cum_hi += hi
-        out.append(BlockReport(k, g, g_hi, n, lo, hi, cum_lo, cum_hi))
+        h = gcd(leading, q)
+        hi = (leading // h * p, q // h)  # n/g_k = leading * p/q
+        h = gcd(hi[0], d)
+        lo = (hi[0] // h, hi[1] * (d // h))
+        cum_lo = cum_lo * d + n
+        cum_hi = (cum_hi + n) * d
+        a, b = gcd(cum_lo, g_hi), gcd(cum_hi, g_hi)
+        out.append(BlockReport(k, g, g_hi, n, from_coprime(*lo), from_coprime(*hi),
+                               from_coprime(cum_lo // a, g_hi // a), from_coprime(cum_hi // b, g_hi // b)))
+        # p/q times allowed/d: q/h keeps no factor of allowed/h; one gcd with d takes the rest
+        h = gcd(allowed, q)
+        p, q = p * (allowed // h), q // h
+        h = gcd(p, d)
+        p, q = p // h, q * (d // h)
         below *= allowed
         g = g_hi
     return out
@@ -202,11 +213,15 @@ def tail_upper_estimate(constraint: DigitConstraint, k0: int, K: int) -> Fractio
     check_int(K, "K")
     if not 0 <= k0 <= K:
         raise InputOutOfRange(f"need 0 <= k0 <= K, got k0={k0}, K={K}")
-    ratio = 1 - Fraction(1, d)
-    total = Fraction(0)
+    # One numerator over d**count(K), Horner-summed over the steps of count(k)
+    count = constraint.index_set.count
+    num, m, power = 0, 0, 1  # power = (d - 1) ** m, with m = count(k)
     for k in range(k0, K + 1):
-        total += ratio ** constraint.index_set.count(k)
-    return d * total
+        step = count(k) - m
+        m += step
+        power *= (d - 1) ** step
+        num = num * d**step + power
+    return Fraction(d * num, d**m)
 
 
 def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fraction:
@@ -217,13 +232,13 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
     check_int(K, "K")
     if not 0 <= k1 <= K:
         raise InputOutOfRange(f"need 0 <= k1 <= K, got k1={k1}, K={K}")
-    product = Fraction(1)
-    total = Fraction(0)
+    # The product at k is below/g_{k+1}: one numerator over g_{K+1}
+    num, below, g = 0, 1, 1
     for k, (d, _, allowed, leading) in enumerate(rows(constraint, K + 1)[: K + 1]):
-        product *= Fraction(allowed, d)
-        if k >= k1 and leading:
-            total += product
-    return total / 2
+        below *= allowed
+        g *= d
+        num = num * d + (below if k >= k1 and leading else 0)
+    return Fraction(num, 2 * g)
 
 
 # --- bounded-quotient certificates ------------------------------------------
@@ -502,10 +517,8 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
             break
     assert i0 is not None
 
-    prod = Fraction(1)
-    for d, _, allowed, _ in rows(constraint, i0)[:i0]:
-        prod *= Fraction(allowed, d)
-    delta = prod / 2
+    rs = rows(constraint, i0)[:i0]
+    delta = Fraction(math.prod(r[2] for r in rs), 2 * math.prod(r[0] for r in rs))
 
     # window spot-check: explicit partial tail terms can never exceed the
     # certified tail value (terms decay geometrically, so a short prefix of

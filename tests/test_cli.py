@@ -203,6 +203,31 @@ def test_blocks_deep_power_rule_within_one_gib():
     assert len(proc.stdout.splitlines()) == 1 + 27
 
 
+def test_member_with_a_far_power_rule_override_within_one_gib(tmp_path):
+    # d_i for i = 10**10 has 10**10 + 1 bits; the override is valid without it
+    doc = {
+        "sequence": {"kind": "power", "base": 2},
+        "constraint": {
+            "index_set": {"kind": "all"},
+            "forbidden": {"default": [0], "overrides": {"10000000000": [1]}},
+        },
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kempner_lab.cli", "member", "77", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space_1gib,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "true"
+
+
 def test_classify_presets(capsys):
     code, out, _ = run(capsys, "classify", "--preset", "kempner10", "--format", "json")
     assert code == 0

@@ -88,6 +88,19 @@ def test_override_validation():
     assert c.forbidden_at(3) == frozenset({9})
 
 
+def test_power_rule_overrides_checked_without_far_quotients():
+    seq = kl.power(2)
+    # near overrides still meet d_i: d_1 = 4 and d_2 = 8
+    with pytest.raises(ForbiddenSetNotProper):
+        kl.make_constraint(seq, kl.AllIndices(), default={0}, overrides={1: set(range(4))})
+    with pytest.raises(DigitOutOfRange):
+        kl.make_constraint(seq, kl.AllIndices(), default={0}, overrides={2: {8}})
+    # max(U) < 2**i < d_i: valid whatever d_i is, so d_i is never built
+    with _address_space_cap(256 << 20):
+        c = kl.make_constraint(seq, kl.AllIndices(), default={0}, overrides={10**10: {1}})
+    assert c.overrides == ((10**10, frozenset({1})),) and not kl.is_member(c, 4)
+
+
 def test_fixed_bits_examples():
     odd = kl.fixed_bits({0: 1})
     assert [n for n in range(1, 10) if kl.is_member(odd, n)] == [1, 3, 5, 7, 9]

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -418,3 +419,121 @@ def test_tail_estimates_reject_non_int_indices(kempner10, power2_no_zero, call):
 def test_classify_rejects_a_delta_that_is_not_rational(kempner10, delta):
     with pytest.raises(InputOutOfRange, match="delta must be a rational number"):
         kl.classify(kempner10, delta=delta)
+
+
+# --- integer brackets against plain Fraction arithmetic ---------------------
+
+
+def _reference_reports(c, max_k):
+    """Block reports by running Fraction sums, one position at a time."""
+    out = []
+    cum_lo = cum_hi = Fraction(0)
+    below = g = 1
+    for k in range(max_k + 1):
+        d = c.sequence.quotient(k)
+        u = c.forbidden_at(k) or frozenset()
+        n = below * (d - 1 - len(u - {0}))  # allowed leading digits
+        lo, hi = Fraction(n, g * d), Fraction(n, g)
+        cum_lo, cum_hi = cum_lo + lo, cum_hi + hi
+        out.append((k, g, g * d, n, lo, hi, cum_lo, cum_hi))
+        below *= d - len(u)
+        g *= d
+    return out
+
+
+def _reference_tail_lower(c, k1, K):
+    product, total = Fraction(1), Fraction(0)
+    for k in range(K + 1):
+        u = c.forbidden_at(k) or frozenset()
+        d = c.sequence.quotient(k)
+        product *= Fraction(d - len(u), d)
+        if k >= k1 and len(u - {0}) < d - 1:
+            total += product
+    return total / 2
+
+
+def _reference_tail_upper(c, k0, K):
+    d = c.sequence.bound_hint
+    return d * sum((Fraction(d - 1, d) ** c.index_set.count(k) for k in range(k0, K + 1)), Fraction(0))
+
+
+def _is_reduced(f):
+    return f.denominator > 0 and math.gcd(f.numerator, f.denominator) == 1
+
+
+_SEQUENCES = st.one_of(
+    st.builds(kl.constant, st.sampled_from([2, 3, 4, 6, 10, 12, 16, 10**12])),
+    st.builds(kl.explicit, st.lists(st.integers(2, 20), min_size=1, max_size=5),
+              extend=st.sampled_from(["repeat-last", "cycle"])),
+    st.builds(kl.power, st.integers(2, 4)),
+    st.just(kl.factorial()),
+)
+
+
+@st.composite
+def _constraints(draw):
+    seq = draw(_SEQUENCES)
+    ix = draw(_INDEX_SETS)
+    bounded = seq.kind in ("constant", "explicit")
+    max_k = draw(st.integers(0, 60 if bounded else 25))
+    d_min = min(seq.values or (seq.quotient(0),))
+    digits = st.integers(0, min(d_min, 64) - 1)
+    if draw(st.booleans()):  # every nonzero digit: empties the blocks where d_k = d_min
+        default = set(range(1, min(d_min, 64)))
+    else:
+        default = draw(st.sets(digits, min_size=1, max_size=min(d_min - 1, 6)))
+    members = [i for i in range(max_k + 1) if ix.contains(i)]
+    overrides = {}
+    if members:
+        for i in draw(st.lists(st.sampled_from(members), max_size=3, unique=True)):
+            d = seq.quotient(i)
+            overrides[i] = draw(st.sets(st.integers(0, min(d, 64) - 1), min_size=1, max_size=min(d - 1, 6)))
+    return kl.make_constraint(seq, ix, default=default, overrides=overrides), max_k
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_constraints(), data=st.data())
+def test_integer_brackets_match_fraction_sums(case, data):
+    c, max_k = case
+    reports = kl.block_reports(c, max_k)
+    fields = ("k", "g_lo", "g_hi", "count", "bracket_lo", "bracket_hi", "cumulative_lo", "cumulative_hi")
+    assert [tuple(getattr(r, f) for f in fields) for r in reports] == _reference_reports(c, max_k)
+    k1 = data.draw(st.integers(0, max_k))
+    results = [kl.tail_lower_estimate(c, k1, max_k)]
+    assert results[0] == _reference_tail_lower(c, k1, max_k)
+    if c.sequence.bound_hint is not None:
+        results.append(kl.tail_upper_estimate(c, k1, max_k))
+        assert results[-1] == _reference_tail_upper(c, k1, max_k)
+    for r in reports:
+        results += [r.bracket_lo, r.bracket_hi, r.cumulative_lo, r.cumulative_hi]
+    assert all(type(f) is Fraction and _is_reduced(f) for f in results)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seq=st.one_of(st.builds(kl.power, st.integers(2, 3)), st.just(kl.factorial())),
+    ix=_INDEX_SETS,
+    default=st.sets(st.integers(0, 1), min_size=1, max_size=1),
+)
+def test_ratio_tail_delta_is_the_allowed_product(seq, ix, default):
+    c = kl.make_constraint(seq, ix, default=default)
+    r = kl.divergence_by_unbounded_quotients(c)
+    if r.verdict != kl.DIVERGENT:
+        return
+    product = Fraction(1)
+    for i in range(r.margin.threshold_index):
+        d = seq.quotient(i)
+        product *= Fraction(d - len(c.forbidden_at(i) or ()), d)
+    assert r.margin.delta == product / 2 and _is_reduced(r.margin.delta)
+
+
+def test_kempner10_brackets_at_depth_505(kempner10):
+    K = 505
+    reports = kl.block_reports(kempner10, K)
+    assert [r.count for r in reports] == [8 * 9**k for k in range(K + 1)]
+    tail = 1 - Fraction(9, 10) ** (K + 1)
+    last = reports[-1]
+    assert last.cumulative_lo == 8 * tail and last.cumulative_hi == 80 * tail
+    assert last.bracket_hi == Fraction(8 * 9**K, 10**K) and last.bracket_lo == last.bracket_hi / 10
+    assert all(_is_reduced(f) for f in (last.cumulative_lo, last.cumulative_hi, last.bracket_lo))
+    assert kl.tail_lower_estimate(kempner10, 0, K) == Fraction(9, 2) * tail
