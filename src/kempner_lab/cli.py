@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .config import Config, _parse_delta, parse_dict, parse_json, to_json
+from .config import Config, _parse_delta, parse_dict, parse_json
 from .constraints import block_count_exact, count_upto, is_member
 from .errors import ConfigInvalid, KempnerLabError
 from .gadic import Numeral, digit_count, from_digits, to_digits
@@ -385,8 +385,8 @@ def _cmd_preset(args) -> int:
     if not args.name:
         raise ConfigInvalid("preset", "pass --list or --name NAME")
     doc = preset_config(args.name, _parse_params(args.param))
-    # normalize through the parser so the dump always matches the schema
-    sys.stdout.write(to_json(parse_dict(doc)))
+    parse_dict(doc)  # presets are canonical; parsing only rejects bad parameters
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

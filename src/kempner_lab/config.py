@@ -1,9 +1,8 @@
-"""JSON configuration documents: parsing, validation, canonical dumping.
+"""JSON configuration documents: parsing and validation.
 
 One schema describes a run: the quotient rule, the digit constraint, and
 optional operation parameters.  Parsing is strict; every failure names
-the offending field path.  ``to_dict(parse_dict(doc))`` is canonical and
-stable, so documents round-trip losslessly.
+the offending field path.
 """
 
 from __future__ import annotations
@@ -170,57 +169,3 @@ def parse_json(text: str) -> Config:
         raise ConfigInvalid("", f"not valid JSON: {exc}") from exc
     return parse_dict(doc)
 
-
-def _sequence_dict(seq: QuotientSequence) -> dict:
-    out: dict = {"kind": seq.kind}
-    if seq.kind == "constant":
-        out["d"] = seq.d
-    elif seq.kind == "explicit":
-        out["values"] = list(seq.values)
-        out["extend"] = seq.extend
-    elif seq.kind == "power":
-        out["base"] = seq.base
-    if seq.bound_hint is not None:
-        out["bound_hint"] = seq.bound_hint
-    return out
-
-
-def _index_set_dict(ix: indexsets.IndexSet) -> dict:
-    if isinstance(ix, indexsets.AllIndices):
-        return {"kind": "all"}
-    if isinstance(ix, indexsets.ExplicitIndices):
-        return {"kind": "explicit", "indices": sorted(ix.indices)}
-    if isinstance(ix, indexsets.ArithmeticIndices):
-        return {"kind": "arithmetic", "first": ix.first, "step": ix.step}
-    if isinstance(ix, indexsets.PowerIndices):
-        return {"kind": "powers-of", "base": ix.base}
-    return {"kind": "complement", "of": _index_set_dict(ix.inner)}
-
-
-def to_dict(config: Config) -> dict:
-    out: dict = {"sequence": _sequence_dict(config.sequence)}
-    if config.constraint is not None:
-        c = config.constraint
-        out["constraint"] = {
-            "index_set": _index_set_dict(c.index_set),
-            "forbidden": {
-                "default": sorted(c.default_forbidden or ()),
-                "overrides": {str(i): sorted(s) for i, s in c.overrides},
-            },
-        }
-    params: dict = {}
-    if config.max_k is not None:
-        params["max_k"] = config.max_k
-    if config.upto is not None:
-        params["upto"] = config.upto
-    if config.budget is not None:
-        params["budget"] = config.budget
-    if config.delta is not None:
-        params["delta"] = str(config.delta)
-    if params:
-        out["params"] = params
-    return out
-
-
-def to_json(config: Config) -> str:
-    return json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n"

@@ -272,30 +272,20 @@ def _first_k_holding(start: int, holds) -> int:
     return lo
 
 
-def _certify_convergence(growth: Growth, d: int, delta: Fraction) -> int | None:
-    """Index from which count(k) >= (1+delta) * ln k / ln(d/(d-1)) is
-    certified, or None."""
-    ln_ratio = math.log(d / (d - 1))
-    coeff = float(1 + delta) / ln_ratio
-    if growth.kind == GROWTH_LINEAR:
-        a = float(growth.slope)
-        c = float(growth.offset)
-        # beyond coeff/a the gap (a*k + c) - coeff*ln(k) is increasing
-        start = max(2, growth.valid_from, math.ceil(coeff / a))
-        return _first_k_holding(start, lambda k: a * k + c >= coeff * math.log(k))
-    if growth.kind == GROWTH_LOG:
-        b = growth.log_base
-        p, q = delta.numerator, delta.denominator
-        # ln(d/(d-1)) >= (1+delta) ln b, exactly in integers
-        if d**q >= b ** (p + q) * (d - 1) ** q:
-            return max(2, growth.valid_from)
-        return None
-    return None
+def _certify_convergence(growth: Growth, d: int, delta: Fraction) -> int:
+    """Index from which count(k) >= (1+delta) * ln k / ln(d/(d-1)) holds
+    under a linear envelope count(k) >= slope * k + offset."""
+    coeff = float(1 + delta) / math.log(d / (d - 1))
+    a = float(growth.slope)
+    c = float(growth.offset)
+    # beyond coeff/a the gap (a*k + c) - coeff*ln(k) is increasing
+    start = max(2, growth.valid_from, math.ceil(coeff / a))
+    return _first_k_holding(start, lambda k: a * k + c >= coeff * math.log(k))
 
 
 def _certify_divergence(growth: Growth, d: int, delta: Fraction) -> int | None:
-    """Index from which count(k) <= (1-delta) * ln k / ln d is certified,
-    or None."""
+    """Index from which count(k) <= (1-delta) * ln k / ln d is certified
+    under a bounded or log envelope, or None."""
     if delta >= 1:
         return None
     p, q = delta.numerator, delta.denominator
@@ -305,19 +295,15 @@ def _certify_divergence(growth: Growth, d: int, delta: Fraction) -> int | None:
         target = d ** (limit * q)
         k1 = _first_k_holding(2, lambda k: k ** (q - p) >= target)
         return max(k1, growth.valid_from, 2)
-    if growth.kind == GROWTH_LOG:
-        b = growth.log_base
-        # strict leading-coefficient gap absorbs the +1 in the envelope:
-        # ln d < (1-delta) ln b  <=>  d**q < b**(q-p)
-        if not d**q < b ** (q - p):
-            return None
-        ln_b = math.log(b)
-        coeff = float(1 - delta) / math.log(d)
-        start = max(2, growth.valid_from)
-        return _first_k_holding(
-            start, lambda k: math.log(k) / ln_b + 1 <= coeff * math.log(k)
-        )
-    return None
+    b = growth.log_base
+    # strict leading-coefficient gap absorbs the +1 in the envelope:
+    # ln d < (1-delta) ln b  <=>  d**q < b**(q-p)
+    if not d**q < b ** (q - p):
+        return None
+    ln_b = math.log(b)
+    coeff = float(1 - delta) / math.log(d)
+    start = max(2, growth.valid_from)
+    return _first_k_holding(start, lambda k: math.log(k) / ln_b + 1 <= coeff * math.log(k))
 
 
 def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) -> Classification:
@@ -325,8 +311,13 @@ def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) ->
 
     Convergent when count(k) eventually dominates
     (1+delta) ln k / ln(d/(d-1)); divergent when it eventually stays below
-    (1-delta) ln k / ln d.  The boundary regime (count growing like
-    log k at the critical rate) is reported inconclusive.
+    (1-delta) ln k / ln d.  The growth envelope decides which applies: a
+    linear count outgrows any multiple of ln k, so it converges at the
+    first candidate delta.  A log envelope log_b k + 1 would converge only
+    if ln(d/(d-1)) >= (1+delta) ln b, impossible as d/(d-1) <= 2 <= b, so
+    log and bounded envelopes are tested for divergence alone.  The
+    boundary regime (count growing like log k at the critical rate) is
+    reported inconclusive.
     """
     d = constraint.sequence.bound_hint
     if d is None:
@@ -334,17 +325,17 @@ def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) ->
     growth = indexsets.growth(constraint.index_set)
     candidates = _delta_candidates(delta)
 
-    for f in candidates:
+    if growth.kind == GROWTH_LINEAR:
+        f = candidates[0]
         k0 = _certify_convergence(growth, d, f)
-        if k0 is not None:
-            return Classification(
-                verdict=CONVERGENT,
-                rule_fired=RULE_INDEX_GROWTH,
-                margin=Margin(f, "k0", k0),
-                notes=(
-                    f"count(k) certified >= (1+{f}) ln k / ln({d}/{d - 1}) for all k >= {k0}",
-                ),
-            )
+        return Classification(
+            verdict=CONVERGENT,
+            rule_fired=RULE_INDEX_GROWTH,
+            margin=Margin(f, "k0", k0),
+            notes=(
+                f"count(k) certified >= (1+{f}) ln k / ln({d}/{d - 1}) for all k >= {k0}",
+            ),
+        )
     for f in candidates:
         k1 = _certify_divergence(growth, d, f)
         if k1 is not None:

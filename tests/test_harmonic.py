@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kempner_lab as kl
@@ -264,14 +264,28 @@ _INDEX_SETS = st.one_of(
     st.builds(kl.PowerIndices, st.integers(2, 16)),
     st.builds(kl.ExplicitIndices, st.frozensets(st.integers(0, 40), min_size=1, max_size=8)),
 ).flatmap(lambda ix: st.sampled_from([ix, indexsets.ComplementIndices(ix)]))
-_DELTAS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 20), Fraction(2, 5), Fraction(1, 3), Fraction(1, 100)]
+_DELTAS = [
+    Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 20), Fraction(2, 5),
+    Fraction(1, 3), Fraction(1, 100), Fraction(3, 2),
+]
 
 
 @settings(deadline=None)  # delta = 1/100 at 10 k* takes d to exponents near 10^5
 @given(d=st.integers(2, 16), ix=_INDEX_SETS, delta=st.sampled_from(_DELTAS))
+@example(d=10, ix=kl.AllIndices(), delta=None)  # the default grid starts at 1/2
 def test_bounded_thresholds_hold_exactly(d, ix, delta):
     c = kl.make_constraint(kl.constant(d), ix, default={0})
     r = kl.convergence_by_bounded_quotients(c, delta=delta)
+    if delta is None:
+        delta = Fraction(1, 2)
+    # the growth envelope alone decides which threshold can fire
+    kind = indexsets.growth(ix).kind
+    if kind == indexsets.GROWTH_LINEAR:
+        assert r.verdict == kl.CONVERGENT and r.margin.delta == delta
+    elif kind == indexsets.GROWTH_BOUNDED and delta < 1:
+        assert r.verdict == kl.DIVERGENT
+    elif kind == indexsets.GROWTH_LOG:
+        assert r.verdict != kl.CONVERGENT
     if r.verdict == kl.INCONCLUSIVE:
         return
     holds = _converges_at if r.verdict == kl.CONVERGENT else _diverges_at
@@ -348,6 +362,15 @@ def test_unbounded_power_with_arithmetic_positions():
     # tail over positions 1, 3, 5, ...: sum 2^-(i+1) = 2^-2 + 2^-4 + ... = 1/3 < 1/2
     assert r.margin.threshold_index == 1
     assert r.margin.value == Fraction(1, 3)
+    # positions past the first member: the closed form starts at the next one
+    for ix, value, delta in [
+        (kl.ArithmeticIndices(first=0, step=2), Fraction(1, 6), Fraction(1, 4)),
+        (kl.ArithmeticIndices(first=0, step=1), Fraction(1, 4), Fraction(3, 16)),
+    ]:
+        c = kl.make_constraint(kl.power(2), ix, default={0})
+        r = kl.divergence_by_unbounded_quotients(c)
+        assert r.verdict == kl.DIVERGENT
+        assert (r.margin.threshold_index, r.margin.value, r.margin.delta) == (2, value, delta)
 
 
 def test_unbounded_power_with_power_positions_uses_enclosure():
