@@ -14,7 +14,7 @@ from . import indexsets
 from ._record import record
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
-from .gadic import RULE_KINDS, QuotientSequence, make_sequence
+from .gadic import EXTEND_MODES, RULE_KINDS, QuotientSequence, make_sequence
 
 INDEX_KINDS = ("all", "explicit", "arithmetic", "powers-of", "complement")
 
@@ -40,6 +40,13 @@ def _expect_int(doc: dict, key: str, path: str, required: bool = True) -> int | 
     return v
 
 
+def _check_fields(doc: dict, known: set, path: str, message: str = "unknown field") -> None:
+    unknown = set(doc) - known
+    if unknown:
+        key = min(unknown, key=str)
+        raise ConfigInvalid(f"{path}.{key}" if path else key, message)
+
+
 def _int_list(value, path: str) -> list:
     if not isinstance(value, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in value
@@ -51,6 +58,7 @@ def _int_list(value, path: str) -> list:
 def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
+    _check_fields(doc, {"kind", "d", "values", "extend", "base", "bound_hint"}, path)
     kind = doc.get("kind")
     if kind not in RULE_KINDS:
         raise ConfigInvalid(f"{path}.kind", f"expected one of {RULE_KINDS}, got {kind!r}")
@@ -61,7 +69,7 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
         if kind == "explicit":
             values = _int_list(doc.get("values"), f"{path}.values")
             extend = doc.get("extend", "repeat-last")
-            if extend not in ("repeat-last", "cycle"):
+            if extend not in EXTEND_MODES:
                 raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
             return make_sequence("explicit", values=values, extend=extend, bound_hint=bound_hint)
         if kind == "power":
@@ -76,6 +84,7 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
 def _parse_index_set(doc, path: str) -> indexsets.IndexSet:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
+    _check_fields(doc, {"kind", "indices", "first", "step", "base", "of"}, path)
     kind = doc.get("kind")
     if kind not in INDEX_KINDS:
         raise ConfigInvalid(f"{path}.kind", f"expected one of {INDEX_KINDS}, got {kind!r}")
@@ -101,10 +110,12 @@ def _parse_index_set(doc, path: str) -> indexsets.IndexSet:
 def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> DigitConstraint:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
+    _check_fields(doc, {"index_set", "forbidden"}, path)
     index_set = _parse_index_set(doc.get("index_set"), f"{path}.index_set")
     forbidden = doc.get("forbidden")
     if not isinstance(forbidden, dict):
         raise ConfigInvalid(f"{path}.forbidden", "expected an object")
+    _check_fields(forbidden, {"default", "overrides"}, f"{path}.forbidden")
     default = _int_list(forbidden.get("default", []), f"{path}.forbidden.default")
     overrides_doc = forbidden.get("overrides", {})
     if not isinstance(overrides_doc, dict):
@@ -117,6 +128,8 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
             raise ConfigInvalid(
                 f"{path}.forbidden.overrides.{key}", "keys must be integer positions"
             )
+        if i in overrides:
+            raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", f"position {i} is given twice")
         overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))
     try:
         return make_constraint(seq, index_set, default=default or None, overrides=overrides)
@@ -136,9 +149,7 @@ def _parse_delta(value, path: str) -> Fraction:
 def parse_dict(doc: dict) -> Config:
     if not isinstance(doc, dict):
         raise ConfigInvalid("", "top-level document must be an object")
-    unknown = set(doc) - {"sequence", "constraint", "params"}
-    if unknown:
-        raise ConfigInvalid(sorted(unknown)[0], "unknown top-level field")
+    _check_fields(doc, {"sequence", "constraint", "params"}, "", "unknown top-level field")
     if "sequence" not in doc:
         raise ConfigInvalid("sequence", "required field is missing")
     seq = _parse_sequence(doc["sequence"])
@@ -148,9 +159,7 @@ def parse_dict(doc: dict) -> Config:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigInvalid("params", "expected an object")
-    unknown = set(params) - {"max_k", "upto", "budget", "delta"}
-    if unknown:
-        raise ConfigInvalid(f"params.{sorted(unknown)[0]}", "unknown parameter")
+    _check_fields(params, {"max_k", "upto", "budget", "delta"}, "params", "unknown parameter")
     delta = _parse_delta(params["delta"], "params.delta") if "delta" in params else None
     return Config(
         sequence=seq,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import count as _count_from
+from itertools import islice, takewhile
 
 from . import indexsets
 from ._record import record
@@ -358,47 +358,42 @@ def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) ->
 # --- unbounded-quotient certificate -----------------------------------------
 
 
-def _iter_index_members(constraint: DigitConstraint):
-    contains = constraint.index_set.contains
-    for i in _count_from(0):
-        if contains(i):
-            yield i
-
-
-def _power_all_tail(base: int, size: int, i0: int) -> Fraction:
-    """sum over all i >= i0 of size / base**(i+1)."""
-    return Fraction(size, base**i0 * (base - 1))
-
-
 def _ratio_tail_bracket(
     constraint: DigitConstraint, i0: int
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum over i in I, i >= i0 of |U_i|/d_i; tight for rule
-    combinations with closed forms, adaptively refined otherwise."""
+    """Enclosure of sum over i in I, i >= i0 of |U_i|/d_i.
+
+    Under d_i = b**(i+1) with one forbidden-set size, the tail is that size
+    times ``indexsets.geometric_weight``, plus the exact override terms; it
+    is tight, and it alone settles ties at 1/2.  Index rules without a
+    closed form, and factorial quotients, are refined adaptively.
+    """
     seq = constraint.sequence
     ix = indexsets.normalize(constraint.index_set)
     default_size = len(constraint.default_forbidden or ())
 
     if seq.kind == "power":
         b = seq.base
-        exact = _geometric_tail_over(ix, b, default_size, i0)
-        if exact is not None:
-            adjust = sum(
+        weight = indexsets.geometric_weight(ix, b, i0)
+        if weight is not None:
+            exact = default_size * weight + sum(
                 (Fraction(len(s) - default_size, seq.quotient(i)) for i, s in constraint.overrides if i >= i0),
                 Fraction(0),
             )
-            return exact + adjust, exact + adjust
+            return exact, exact
 
         def remainder_past(horizon: int) -> Fraction:
-            return _power_all_tail(b, _max_forbidden_size(constraint, horizon), horizon + 1)
+            # every position past the horizon, each term at most u / b**(i+1)
+            u = _max_forbidden_size(constraint, horizon)
+            return Fraction(u, b ** (horizon + 1) * (b - 1))
 
-    elif seq.kind == "factorial" and isinstance(ix, indexsets.PowerIndices):
+    elif seq.kind == "factorial" and (g := indexsets.growth(ix)).kind == GROWTH_LOG:
 
         def remainder_past(horizon: int) -> Fraction:
             # constrained positions above the horizon are spaced at least by
-            # factor ix.base, and each term is below size/position
+            # factor g.log_base, and each term is below size/position
             u = _max_forbidden_size(constraint, horizon)
-            return Fraction(u * ix.base, (horizon + 1) * (ix.base - 1))
+            return Fraction(u * g.log_base, (horizon + 1) * (g.log_base - 1))
 
     else:
         raise SetFinitenessUnknown("no convergent enclosure for this ratio tail")
@@ -412,7 +407,7 @@ def _ratio_tail_bracket(
         horizon = 2 * horizon + 16
         partial = sum_fractions(
             _ratio_at(constraint, i)
-            for i in indexsets.iter_members_between(ix, i0, horizon)
+            for i in takewhile(horizon.__ge__, indexsets.iter_members(ix, i0))
         )
         remainder = remainder_past(horizon)
         if partial + remainder < half or partial >= half:
@@ -424,34 +419,6 @@ def _max_forbidden_size(constraint: DigitConstraint, beyond: int) -> int:
     sizes = [len(constraint.default_forbidden or ())]
     sizes += [len(s) for i, s in constraint.overrides if i > beyond]
     return max(sizes)
-
-
-def _geometric_tail_over(ix, base: int, size: int, i0: int) -> Fraction | None:
-    """Closed form of sum over i in ix, i >= i0 of size/base**(i+1), when
-    the index rule admits one."""
-    if isinstance(ix, indexsets.AllIndices):
-        return _power_all_tail(base, size, i0)
-    if isinstance(ix, indexsets.ExplicitIndices):
-        return sum(
-            (Fraction(size, base ** (i + 1)) for i in ix.indices if i >= i0),
-            Fraction(0),
-        )
-    if isinstance(ix, indexsets.ArithmeticIndices):
-        if i0 <= ix.first:
-            first = ix.first
-        else:
-            steps = -((i0 - ix.first) // -ix.step)
-            first = ix.first + steps * ix.step
-        r = base**ix.step
-        return Fraction(size * r, base ** (first + 1) * (r - 1))
-    if isinstance(ix, indexsets.ComplementIndices):
-        inner = indexsets.normalize(ix.inner)
-        whole = _power_all_tail(base, size, i0)
-        inner_tail = _geometric_tail_over(inner, base, size, i0)
-        if inner_tail is None:
-            return None
-        return whole - inner_tail
-    return None
 
 
 def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classification:
@@ -500,7 +467,7 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     half = Fraction(1, 2)
     i0 = None
     tail_value = None
-    for candidate in _iter_index_members(constraint):
+    for candidate in indexsets.iter_members(constraint.index_set):
         _, hi = _ratio_tail_bracket(constraint, candidate)
         if hi < half:
             i0 = candidate
@@ -514,12 +481,8 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     # window spot-check: explicit partial tail terms can never exceed the
     # certified tail value (terms decay geometrically, so a short prefix of
     # the window carries all the weight worth summing)
-    ix = indexsets.normalize(constraint.index_set)
-    window_members = []
-    for i in indexsets.iter_members_between(ix, i0, DEFAULT_K_WINDOW):
-        window_members.append(i)
-        if len(window_members) >= 64:
-            break
+    members = indexsets.iter_members(constraint.index_set, i0)
+    window_members = list(islice(takewhile(DEFAULT_K_WINDOW.__ge__, members), 64))
     window_sum = sum_fractions(_ratio_at(constraint, i) for i in window_members)
     if window_sum > tail_value:
         raise AssertionError(

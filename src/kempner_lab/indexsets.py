@@ -3,15 +3,18 @@
 Five rule families describe which digit positions carry a forbidden set:
 every position, an explicit finite set, an arithmetic progression, the
 powers of a fixed base, or the complement of another rule.  Keeping the
-algebra closed makes two questions decidable symbolically: membership and
-the asymptotic growth of the counting function count(k) = |I ∩ [0, k]|.
-Finiteness and cofiniteness are read off that growth envelope: I is finite
-exactly when count(k) is bounded, and cofinite when its complement is.
+algebra closed makes four facts decidable symbolically: membership, the
+walk through the members from a given position on, the geometric weight
+sum of b**-(i+1) over those members, and the asymptotic growth of the
+counting function count(k) = |I ∩ [0, k]|.  Finiteness and cofiniteness
+are read off that growth envelope: I is finite exactly when count(k) is
+bounded, and cofinite when its complement is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count as _count_from
 from typing import Union
 
 from ._record import record
@@ -126,30 +129,40 @@ def normalize(ix: IndexSet) -> IndexSet:
     return ix
 
 
-def iter_members_between(ix: IndexSet, lo: int, hi: int):
-    """Members of the index set in [lo, hi], ascending, without scanning
-    the whole range for sparse rules."""
+def iter_members(ix: IndexSet, lo: int = 0):
+    """Members of the index set that are >= lo, ascending; the walk ends
+    only when the set is finite.  Sparse rules are stepped through, not
+    scanned position by position."""
     lo = max(lo, 0)
     if isinstance(ix, AllIndices):
-        yield from range(lo, hi + 1)
-    elif isinstance(ix, ExplicitIndices):
-        yield from (i for i in sorted(ix.indices) if lo <= i <= hi)
-    elif isinstance(ix, ArithmeticIndices):
-        if hi < ix.first:
-            return
-        if lo <= ix.first:
-            start = ix.first
-        else:
-            start = ix.first + -((lo - ix.first) // -ix.step) * ix.step
-        yield from range(start, hi + 1, ix.step)
-    elif isinstance(ix, PowerIndices):
-        p = 1
-        while p <= hi:
-            if p >= lo:
-                yield p
-            p *= ix.base
-    else:
-        yield from (i for i in range(lo, hi + 1) if ix.contains(i))
+        return _count_from(lo)
+    if isinstance(ix, ArithmeticIndices):
+        steps = max(0, -((ix.first - lo) // ix.step))
+        return _count_from(ix.first + steps * ix.step, ix.step)
+    if isinstance(ix, PowerIndices):
+        return (ix.base**j for j in _count_from(ix.count(lo - 1)))
+    if isinstance(ix, ExplicitIndices):
+        return iter(sorted(i for i in ix.indices if i >= lo))
+    # a finite complement has no member past its envelope's valid_from
+    g = growth(ix)
+    positions = range(lo, g.valid_from + 1) if g.kind == GROWTH_BOUNDED else _count_from(lo)
+    return filter(ix.contains, positions)
+
+
+def geometric_weight(ix: IndexSet, base: int, lo: int = 0) -> Fraction | None:
+    """Exact sum of base**-(i+1) over the members i >= lo, or None for the
+    powers rule and its complements, which have no closed form."""
+    ix = normalize(ix)
+    if isinstance(ix, ComplementIndices):
+        inner = geometric_weight(ix.inner, base, lo)
+        return None if inner is None else geometric_weight(AllIndices(), base, lo) - inner
+    if isinstance(ix, PowerIndices):
+        return None
+    if isinstance(ix, ExplicitIndices):
+        return sum((Fraction(1, base ** (i + 1)) for i in iter_members(ix, lo)), Fraction(0))
+    # every position is the progression of step 1: sum of r**-j from the first member
+    r = base ** (ix.step if isinstance(ix, ArithmeticIndices) else 1)
+    return Fraction(r, base ** (next(iter_members(ix, lo)) + 1) * (r - 1))
 
 
 # --- growth envelopes -------------------------------------------------------

@@ -537,6 +537,48 @@ def test_config_validation_paths():
     with pytest.raises(ConfigInvalid) as e:
         parse_dict({"sequence": {"kind": "constant", "d": 10}, "params": {"delta": "x"}})
     assert e.value.path == "params.delta"
+    power2 = {"kind": "power", "base": 2}
+    for doc, path in [
+        ({"sequence": {"kind": "explicit", "values": [3], "extnd": "cycle"}}, "sequence.extnd"),
+        (
+            {"sequence": power2, "constraint": {"index_set": {"kind": "all"}, "forbidden": {"default": [0]}, "x": 1}},
+            "constraint.x",
+        ),
+        (
+            {"sequence": power2, "constraint": {"index_set": {"kind": "all", "stride": 2}, "forbidden": {}}},
+            "constraint.index_set.stride",
+        ),
+        (
+            {
+                "sequence": power2,
+                "constraint": {"index_set": {"kind": "complement", "of": {"kind": "all", "x": 1}}, "forbidden": {}},
+            },
+            "constraint.index_set.of.x",
+        ),
+        (
+            {
+                "sequence": power2,
+                "constraint": {"index_set": {"kind": "all"}, "forbidden": {"default": [0], "overides": {"3": [1]}}},
+            },
+            "constraint.forbidden.overides",
+        ),
+        (
+            {
+                "sequence": power2,
+                "constraint": {
+                    "index_set": {"kind": "all"},
+                    "forbidden": {"default": [0], "overrides": {"3": [0], "03": [1], " 3": [1]}},
+                },
+            },
+            "constraint.forbidden.overrides.03",
+        ),
+    ]:
+        with pytest.raises(ConfigInvalid) as e:
+            parse_dict(doc)
+        assert e.value.path == path
+    with pytest.raises(ConfigInvalid, match="expected 'repeat-last' or 'cycle', got 'loop'") as e:
+        parse_dict({"sequence": {"kind": "explicit", "values": [3], "extend": "loop"}})
+    assert e.value.path == "sequence.extend"
 
 
 def test_complement_index_set_config():

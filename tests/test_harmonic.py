@@ -363,14 +363,18 @@ def test_unbounded_power_with_arithmetic_positions():
     assert r.margin.threshold_index == 1
     assert r.margin.value == Fraction(1, 3)
     # positions past the first member: the closed form starts at the next one
-    for ix, value, delta in [
-        (kl.ArithmeticIndices(first=0, step=2), Fraction(1, 6), Fraction(1, 4)),
-        (kl.ArithmeticIndices(first=0, step=1), Fraction(1, 4), Fraction(3, 16)),
+    for ix, value, delta, i0 in [
+        (kl.ArithmeticIndices(first=0, step=2), Fraction(1, 6), Fraction(1, 4), 2),
+        (kl.ArithmeticIndices(first=0, step=1), Fraction(1, 4), Fraction(3, 16), 2),
+        # complement branch: the tail from position 1 is exactly 1/2, a tie
+        # that only the closed form settles
+        (kl.ComplementIndices(kl.ExplicitIndices(frozenset({0}))), Fraction(1, 4), Fraction(3, 8), 2),
+        (kl.ComplementIndices(kl.ArithmeticIndices(first=0, step=3)), Fraction(3, 7), Fraction(1, 2), 1),
     ]:
         c = kl.make_constraint(kl.power(2), ix, default={0})
         r = kl.divergence_by_unbounded_quotients(c)
         assert r.verdict == kl.DIVERGENT
-        assert (r.margin.threshold_index, r.margin.value, r.margin.delta) == (2, value, delta)
+        assert (r.margin.threshold_index, r.margin.value, r.margin.delta) == (i0, value, delta)
 
 
 def test_unbounded_power_with_power_positions_uses_enclosure():

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -145,3 +147,32 @@ def test_finiteness_matches_the_counting_function(base, depth):
         ix = ixs.ComplementIndices(ix)
     assert ixs.is_finite(ix) == (ix.count(64) == ix.count(4096))
     assert ixs.is_cofinite(ix) == (65 - ix.count(64) == 4097 - ix.count(4096))
+
+
+@given(
+    base_rule=_BASE_RULES,
+    depth=st.integers(0, 4),
+    lo=st.integers(0, 70),
+    base=st.integers(2, 5),
+)
+def test_walk_and_geometric_weight_match_membership(base_rule, depth, lo, base):
+    """The walk lists the members >= lo in order; the weight is the exact
+    sum of base**-(i+1) over them, bracketed by a direct partial sum to
+    H = lo + 64 and its geometric remainder."""
+    ix = base_rule
+    for _ in range(depth):
+        ix = ixs.ComplementIndices(ix)
+    walked = list(itertools.takewhile((4096).__ge__, ixs.iter_members(ix, lo)))
+    assert walked == [i for i in range(lo, 4097) if ix.contains(i)]
+
+    w = ixs.geometric_weight(ix, base, lo)
+    rule = ixs.normalize(ix)
+    no_closed_form = isinstance(getattr(rule, "inner", rule), ixs.PowerIndices)
+    assert (w is None) == no_closed_form
+    if w is None:
+        return
+    h = lo + 64
+    partial = sum((Fraction(1, base ** (i + 1)) for i in walked if i <= h), Fraction(0))
+    assert partial <= w <= partial + Fraction(1, base ** (h + 1) * (base - 1))
+    if ixs.is_finite(ix):
+        assert w == partial
