@@ -24,7 +24,6 @@ from .constraints import (
 )
 from .errors import (
     BitOutOfRange,
-    BoundHintViolated,
     BudgetExceeded,
     ConfigInvalid,
     DigitOutOfRange,

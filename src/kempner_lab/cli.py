@@ -221,21 +221,6 @@ def _cmd_sum(args) -> int:
     return EXIT_TRUNCATED if result.truncated else EXIT_OK
 
 
-BLOCK_CSV_HEADER = [
-    "k",
-    "g_k",
-    "g_k1",
-    "count",
-    "bracket_lo_num",
-    "bracket_lo_den",
-    "bracket_hi_num",
-    "bracket_hi_den",
-    "cum_lo_num",
-    "cum_lo_den",
-    "cum_hi_num",
-    "cum_hi_den",
-]
-
 # --check compares blocks against the oracle only while brute force stays cheap
 CHECK_CAP = 10**5
 

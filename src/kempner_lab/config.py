@@ -16,7 +16,17 @@ from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
 from .gadic import EXTEND_MODES, RULE_KINDS, QuotientSequence, make_sequence
 
-INDEX_KINDS = ("all", "explicit", "arithmetic", "powers-of", "complement")
+# The fields each kind reads besides "kind".  Every sequence may also state
+# its rule's bound, which must then equal the bound the rule derives.
+SEQUENCE_FIELDS = {"constant": {"d"}, "explicit": {"values", "extend"}, "power": {"base"}, "factorial": set()}
+INDEX_FIELDS = {
+    "all": set(),
+    "explicit": {"indices"},
+    "arithmetic": {"first", "step"},
+    "powers-of": {"base"},
+    "complement": {"of"},
+}
+INDEX_KINDS = tuple(INDEX_FIELDS)
 
 
 @record
@@ -58,36 +68,38 @@ def _int_list(value, path: str) -> list:
 def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
-    _check_fields(doc, {"kind", "d", "values", "extend", "base", "bound_hint"}, path)
     kind = doc.get("kind")
     if kind not in RULE_KINDS:
         raise ConfigInvalid(f"{path}.kind", f"expected one of {RULE_KINDS}, got {kind!r}")
+    _check_fields(doc, {"kind", "bound_hint"} | SEQUENCE_FIELDS[kind], path)
     bound_hint = _expect_int(doc, "bound_hint", path, required=False)
+    args = {}
+    if kind == "constant":
+        args["d"] = _expect_int(doc, "d", path)
+    elif kind == "explicit":
+        args["values"] = _int_list(doc.get("values"), f"{path}.values")
+        args["extend"] = extend = doc.get("extend", "repeat-last")
+        if extend not in EXTEND_MODES:
+            raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
+    elif kind == "power":
+        args["base"] = _expect_int(doc, "base", path)
     try:
-        if kind == "constant":
-            return make_sequence("constant", d=_expect_int(doc, "d", path), bound_hint=bound_hint)
-        if kind == "explicit":
-            values = _int_list(doc.get("values"), f"{path}.values")
-            extend = doc.get("extend", "repeat-last")
-            if extend not in EXTEND_MODES:
-                raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
-            return make_sequence("explicit", values=values, extend=extend, bound_hint=bound_hint)
-        if kind == "power":
-            return make_sequence("power", base=_expect_int(doc, "base", path), bound_hint=bound_hint)
-        return make_sequence("factorial", bound_hint=bound_hint)
-    except ConfigInvalid:
-        raise
+        seq = make_sequence(kind, **args)
     except KempnerLabError as exc:
         raise ConfigInvalid(path, str(exc)) from exc
+    if bound_hint not in (None, seq.bound_hint):
+        bound = "none" if seq.bound_hint is None else seq.bound_hint
+        raise ConfigInvalid(f"{path}.bound_hint", f"the {kind} rule's bound is {bound}, not {bound_hint}")
+    return seq
 
 
 def _parse_index_set(doc, path: str) -> indexsets.IndexSet:
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
-    _check_fields(doc, {"kind", "indices", "first", "step", "base", "of"}, path)
     kind = doc.get("kind")
     if kind not in INDEX_KINDS:
         raise ConfigInvalid(f"{path}.kind", f"expected one of {INDEX_KINDS}, got {kind!r}")
+    _check_fields(doc, {"kind"} | INDEX_FIELDS[kind], path)
     try:
         if kind == "all":
             return indexsets.AllIndices()
@@ -122,12 +134,10 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
         raise ConfigInvalid(f"{path}.forbidden.overrides", "expected an object keyed by position")
     overrides = {}
     for key, val in overrides_doc.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError):
-            raise ConfigInvalid(
-                f"{path}.forbidden.overrides.{key}", "keys must be integer positions"
-            )
+        # int() would also read "+2", "1_0", " 5 " and non-ASCII digits
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+            raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", "keys must be decimal positions")
+        i = int(key)
         if i in overrides:
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", f"position {i} is given twice")
         overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))

@@ -13,10 +13,6 @@ class EmptyExplicitList(KempnerLabError):
     """An explicit quotient rule was given no values."""
 
 
-class BoundHintViolated(KempnerLabError):
-    """A declared uniform quotient bound is exceeded at a touched index."""
-
-
 class NonPositiveInput(KempnerLabError):
     """An operation defined on positive integers received n < 1."""
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from ._record import record
 from .errors import (
-    BoundHintViolated,
     DigitOutOfRange,
     EmptyExplicitList,
     InputOutOfRange,
@@ -50,9 +49,9 @@ def _native_tables(d: int) -> tuple[str | None, bytes | None, bytes]:
 class QuotientSequence:
     """A rule generating the quotient at every digit position.
 
-    ``bound_hint`` is a declared uniform bound on all quotients.  It is
-    filled automatically where the rule itself guarantees one (constant
-    and explicit rules) and must be absent for unbounded families.
+    ``bound_hint`` is the rule's own uniform bound on all quotients: d for
+    a constant rule, the largest value of an explicit one, and None for
+    the unbounded power and factorial families.
     """
 
     kind: str
@@ -60,49 +59,42 @@ class QuotientSequence:
     values: tuple[int, ...] = ()
     extend: str = "repeat-last"
     base: int = 0
-    bound_hint: int | None = None
 
     def __post_init__(self):
         # Every digit conversion looks the sequence up in the prefix caches,
         # so the hash of the (immutable) fields is computed once, here.
-        fields = (self.kind, self.d, self.values, self.extend, self.base, self.bound_hint)
-        object.__setattr__(self, "_hash", hash(fields))
-        # Constant bases convert in C when no quotient can break the bound;
-        # a sequence built directly may carry a hint below d.
-        native = None
-        if self.kind == "constant" and 2 <= self.d <= 36:
-            if self.bound_hint is None or self.bound_hint >= self.d:
-                native = _native_tables(self.d)
+        object.__setattr__(self, "_hash", hash((self.kind, self.d, self.values, self.extend, self.base)))
+        bound = None
+        if self.kind == "constant":
+            bound = self.d
+        elif self.kind == "explicit":
+            bound = max(self.values)
+        object.__setattr__(self, "bound_hint", bound)
+        # Constant bases up to 36 convert in C (see _native_tables).
+        native = _native_tables(self.d) if self.kind == "constant" and 2 <= self.d <= 36 else None
         object.__setattr__(self, "_native", native)
 
     def __hash__(self) -> int:
         return self._hash
 
     def quotient(self, i: int) -> int:
-        """Quotient d_i at position i; checks any declared bound."""
+        """Quotient d_i at position i."""
         if type(i) is not int:  # hot: call check_int only off the plain-int path (a bool passes)
             check_int(i, "digit position")
         if i < 0:
             raise InputOutOfRange(f"negative digit position {i}")
         if self.kind == "constant":
-            q = self.d
-        elif self.kind == "explicit":
+            return self.d
+        if self.kind == "explicit":
             vals = self.values
             if i < len(vals):
-                q = vals[i]
-            elif self.extend == "repeat-last":
-                q = vals[-1]
-            else:
-                q = vals[i % len(vals)]
-        elif self.kind == "power":
-            q = self.base ** (i + 1)
-        else:
-            q = i + 2
-        if self.bound_hint is not None and q > self.bound_hint:
-            raise BoundHintViolated(
-                f"quotient {q} at position {i} exceeds declared bound {self.bound_hint}"
-            )
-        return q
+                return vals[i]
+            if self.extend == "repeat-last":
+                return vals[-1]
+            return vals[i % len(vals)]
+        if self.kind == "power":
+            return self.base ** (i + 1)
+        return i + 2
 
 
 def make_sequence(
@@ -112,7 +104,6 @@ def make_sequence(
     values: tuple[int, ...] | list[int] | None = None,
     extend: str = "repeat-last",
     base: int | None = None,
-    bound_hint: int | None = None,
 ) -> QuotientSequence:
     """Build and validate a quotient sequence from a rule description.
 
@@ -122,14 +113,13 @@ def make_sequence(
     """
     if kind not in RULE_KINDS:
         raise InputOutOfRange(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
-    for name, value in (("d", d), ("base", base), ("bound_hint", bound_hint)):
+    for name, value in (("d", d), ("base", base)):
         if value is not None:
             check_int(value, name)
     if kind == "constant":
         if d is None or d < 2:
             raise QuotientTooSmall(f"constant quotient must be >= 2, got {d}")
-        hint = _checked_hint(bound_hint, d)
-        return QuotientSequence(kind="constant", d=d, bound_hint=hint)
+        return QuotientSequence(kind="constant", d=d)
     if kind == "explicit":
         if not values:
             raise EmptyExplicitList("explicit rule needs at least one quotient")
@@ -141,38 +131,20 @@ def make_sequence(
             raise QuotientTooSmall(f"explicit quotients must all be >= 2, got {small[0]}")
         if extend not in EXTEND_MODES:
             raise InputOutOfRange(f"unknown extension mode {extend!r}; expected one of {EXTEND_MODES}")
-        hint = _checked_hint(bound_hint, max(vals))
-        return QuotientSequence(kind="explicit", values=vals, extend=extend, bound_hint=hint)
+        return QuotientSequence(kind="explicit", values=vals, extend=extend)
     if kind == "power":
         if base is None or base < 2:
             raise QuotientTooSmall(f"power rule base must be >= 2, got {base}")
-        if bound_hint is not None:
-            raise BoundHintViolated("power rule has unbounded quotients; no uniform bound exists")
         return QuotientSequence(kind="power", base=base)
-    # factorial
-    if bound_hint is not None:
-        raise BoundHintViolated("factorial rule has unbounded quotients; no uniform bound exists")
     return QuotientSequence(kind="factorial")
 
 
-def _checked_hint(declared: int | None, intrinsic: int) -> int:
-    # The rule itself proves the intrinsic bound, so it is declared, not
-    # inferred from a finite prefix.  A stated hint may only widen it.
-    if declared is None:
-        return intrinsic
-    if declared < intrinsic:
-        raise BoundHintViolated(
-            f"declared bound {declared} is below a quotient the rule produces ({intrinsic})"
-        )
-    return declared
+def constant(d: int) -> QuotientSequence:
+    return make_sequence("constant", d=d)
 
 
-def constant(d: int, bound_hint: int | None = None) -> QuotientSequence:
-    return make_sequence("constant", d=d, bound_hint=bound_hint)
-
-
-def explicit(values, extend: str = "repeat-last", bound_hint: int | None = None) -> QuotientSequence:
-    return make_sequence("explicit", values=values, extend=extend, bound_hint=bound_hint)
+def explicit(values, extend: str = "repeat-last") -> QuotientSequence:
+    return make_sequence("explicit", values=values, extend=extend)
 
 
 def power(base: int) -> QuotientSequence:

@@ -204,7 +204,7 @@ def _ratio_at(constraint: DigitConstraint, i: int) -> Fraction:
 
 def tail_upper_estimate(constraint: DigitConstraint, k0: int, K: int) -> Fraction:
     """d * sum over k = k0..K of (1 - 1/d)**count(k): dominates the exact
-    reciprocal sum over members in [g_k0, g_{K+1} - 1].  Needs a declared
+    reciprocal sum over members in [g_k0, g_{K+1} - 1].  Needs the rule's
     uniform quotient bound d."""
     d = constraint.sequence.bound_hint
     if d is None:
@@ -508,8 +508,8 @@ def classify(constraint: DigitConstraint, delta=None) -> Classification:
     """Dispatch over the finiteness check and both certified tests.
 
     Order: a finite member set short-circuits (its reciprocal sum is a
-    finite sum); then the bounded-quotient thresholds when a bound is
-    declared; then the unbounded-quotient ratio test.  Every attempted
+    finite sum); then the bounded-quotient thresholds when the rule has a
+    bound; then the unbounded-quotient ratio test.  Every attempted
     hypothesis that failed is recorded in the notes.
     """
     attempts: list[str] = []

@@ -108,6 +108,10 @@ PRESETS = {
 }
 
 
+# The parameters each preset reads; the others read none.
+PRESET_PARAMS = {"base-g-no-c": {"g", "c"}, "fixed-bits": {"bits"}}
+
+
 def preset_names() -> list[str]:
     return sorted(PRESETS)
 
@@ -115,4 +119,8 @@ def preset_names() -> list[str]:
 def preset_config(name: str, params: dict | None = None) -> dict:
     if name not in PRESETS:
         raise ConfigInvalid("preset", f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return PRESETS[name](params or {})
+    params = params or {}
+    unknown = sorted(set(params) - PRESET_PARAMS.get(name, set()))
+    if unknown:
+        raise ConfigInvalid(f"params.{unknown[0]}", f"unknown parameter for preset {name!r}")
+    return PRESETS[name](params)

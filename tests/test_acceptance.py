@@ -269,5 +269,8 @@ def test_c11_cli_determinism(capsys):
             assert code == 0
             outputs.append(captured.out)
         assert outputs[0] == outputs[1], f"{name}: CSV output differs between runs"
-        assert outputs[0].startswith(",".join(cli.BLOCK_CSV_HEADER))
+        assert outputs[0].startswith(
+            "k,g_k,g_k1,count,bracket_lo_num,bracket_lo_den,bracket_hi_num,bracket_hi_den,"
+            "cum_lo_num,cum_lo_den,cum_hi_num,cum_hi_den\n"
+        )
     _pass(11, "blocks --max-k 8 CSV byte-identical across consecutive runs, all presets")

@@ -110,7 +110,10 @@ def test_blocks_csv_shape_and_determinism(capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].strip().split("\n")
-    assert lines[0] == ",".join(cli.BLOCK_CSV_HEADER)
+    assert lines[0] == (
+        "k,g_k,g_k1,count,bracket_lo_num,bracket_lo_den,bracket_hi_num,bracket_hi_den,"
+        "cum_lo_num,cum_lo_den,cum_hi_num,cum_hi_den"
+    )
     assert len(lines) == 10
     first = lines[1].split(",")
     assert first[:4] == ["0", "1", "10", "8"]
@@ -572,6 +575,21 @@ def test_config_validation_paths():
             },
             "constraint.forbidden.overrides.03",
         ),
+        *(
+            (
+                {
+                    "sequence": power2,
+                    "constraint": {"index_set": {"kind": "all"}, "forbidden": {"default": [0], "overrides": {key: [1]}}},
+                },
+                f"constraint.forbidden.overrides.{key}",
+            )
+            for key in ("1_0", "+2", " 5 ", "\u00b2")
+        ),
+        ({"sequence": {"kind": "constant", "d": 10, "base": 3, "values": [1]}}, "sequence.base"),
+        (
+            {"sequence": power2, "constraint": {"index_set": {"kind": "all", "step": 2, "indices": [5]}, "forbidden": {}}},
+            "constraint.index_set.indices",
+        ),
     ]:
         with pytest.raises(ConfigInvalid) as e:
             parse_dict(doc)
@@ -579,6 +597,35 @@ def test_config_validation_paths():
     with pytest.raises(ConfigInvalid, match="expected 'repeat-last' or 'cycle', got 'loop'") as e:
         parse_dict({"sequence": {"kind": "explicit", "values": [3], "extend": "loop"}})
     assert e.value.path == "sequence.extend"
+
+
+def test_sequence_bound_hint_must_be_the_rules_own():
+    assert parse_dict({"sequence": {"kind": "constant", "d": 10, "bound_hint": 10}}).sequence.bound_hint == 10
+    explicit = {"kind": "explicit", "values": [3, 9, 2], "extend": "cycle", "bound_hint": 9}
+    assert parse_dict({"sequence": explicit}).sequence.bound_hint == 9
+    for doc in (
+        {"kind": "constant", "d": 10, "bound_hint": 12},
+        {"kind": "explicit", "values": [3, 9], "bound_hint": 3},
+        {"kind": "power", "base": 2, "bound_hint": 64},
+        {"kind": "factorial", "bound_hint": 100},
+    ):
+        with pytest.raises(ConfigInvalid) as e:
+            parse_dict({"sequence": doc})
+        assert e.value.path == "sequence.bound_hint"
+
+
+def test_presets_reject_parameters_they_do_not_read(capsys):
+    for name, params, key in [
+        ("kempner10", {"g": "5", "colour": "red"}, "colour"),
+        ("kempner10", {"g": "5"}, "g"),
+        ("base-g-no-c", {"d": "5"}, "d"),
+        ("fixed-bits", {"bits": "0:1", "g": "2"}, "g"),
+    ]:
+        with pytest.raises(ConfigInvalid) as e:
+            preset_config(name, params)
+        assert e.value.path == f"params.{key}"
+    code, out, err = run(capsys, "count", "--k", "2", "--preset", "base-g-no-c", "--param", "d=5")
+    assert code == 1 and out == "" and "params.d" in err
 
 
 def test_complement_index_set_config():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import kempner_lab as kl
 from kempner_lab.errors import (
-    BoundHintViolated,
     DigitOutOfRange,
     EmptyExplicitList,
     InputOutOfRange,
@@ -77,13 +76,24 @@ def test_empty_explicit_list():
 
 
 def test_bound_hint_rules():
-    assert kl.constant(10, bound_hint=12).bound_hint == 12
-    with pytest.raises(BoundHintViolated):
-        kl.constant(10, bound_hint=9)
-    with pytest.raises(BoundHintViolated):
-        kl.make_sequence("power", base=2, bound_hint=64)
-    with pytest.raises(BoundHintViolated):
-        kl.make_sequence("factorial", bound_hint=100)
+    # The bound is the rule's own: d, the largest explicit value, or none.
+    assert kl.constant(10).bound_hint == 10
+    assert kl.explicit([3, 9, 2], extend="cycle").bound_hint == 9
+    assert kl.explicit([9, 3], extend="repeat-last").bound_hint == 9
+    assert kl.power(2).bound_hint is None
+    assert kl.factorial().bound_hint is None
+    assert QuotientSequence(kind="constant", d=7).bound_hint == 7
+    assert QuotientSequence.__match_args__ == ("kind", "d", "values", "extend", "base")
+
+
+def test_bound_hint_is_not_an_argument():
+    # A record with a bound below its quotients once gave a wrong verdict.
+    with pytest.raises(TypeError):
+        QuotientSequence(kind="constant", d=10, bound_hint=2)
+    with pytest.raises(TypeError):
+        kl.constant(10, bound_hint=12)
+    with pytest.raises(TypeError):
+        kl.make_sequence("explicit", values=[3], bound_hint=3)
 
 
 def test_to_digits_examples():
@@ -205,10 +215,8 @@ def test_native_round_trip_matches_divmod(n, d, limit):
 
 def test_native_path_only_for_checked_constant_bases():
     assert all(kl.constant(d)._native is not None for d in range(2, 37))
-    assert kl.constant(10, bound_hint=12)._native is not None
     assert kl.constant(37)._native is None
     assert all(seq._native is None for seq in FAMILIES if seq.kind != "constant")
-    assert QuotientSequence(kind="constant", d=10, bound_hint=5)._native is None
 
 
 def _outcome(call):
@@ -268,14 +276,6 @@ def test_from_digits_names_lowest_non_int_digit(seq):
                 kl.from_digits(numeral)
 
 
-def test_constant_below_its_bound_hint_still_raises():
-    seq = QuotientSequence(kind="constant", d=10, bound_hint=5)
-    with pytest.raises(BoundHintViolated):
-        kl.to_digits(seq, 409)
-    with pytest.raises(BoundHintViolated):
-        kl.from_digits(kl.Numeral((9, 0, 4), seq))
-
-
 def test_base_value_rejects_non_int_index():
     with pytest.raises(InputOutOfRange, match="must be an integer, got 2.0"):
         kl.base_value(kl.constant(10), 2.0)
@@ -293,10 +293,8 @@ def test_quotient_rejects_non_int_position(seq, i):
     [
         (lambda: kl.power(2.0), "base must be an integer, got 2.0"),
         (lambda: kl.explicit([2.5, 3]), "explicit quotient must be an integer, got 2.5"),
-        (lambda: kl.explicit([3, 4], bound_hint=4.0), "bound_hint must be an integer, got 4.0"),
         (lambda: kl.constant(10.5), "d must be an integer, got 10.5"),
         (lambda: kl.constant("10"), "d must be an integer, got '10'"),
-        (lambda: kl.constant(10, bound_hint=12.5), "bound_hint must be an integer, got 12.5"),
     ],
 )
 def test_sequence_constructors_reject_non_int_parameters(call, message):

@@ -55,6 +55,29 @@ def test_every_public_record_type_is_covered():
     assert len(TYPES) == 16
 
 
+def test_public_names_are_pinned():
+    # A change to the package's surface shows here, in the diff.
+    assert sorted(kl.__all__) == [
+        "AllIndices", "ArithmeticIndices", "BitOutOfRange", "BlockCount", "BlockReport",
+        "BudgetExceeded", "CONVERGENT", "Classification", "ComplementIndices", "ConfigInvalid",
+        "DIVERGENT", "DigitConstraint", "DigitOutOfRange", "EmptyExplicitList",
+        "EmptyForbiddenSet", "ExplicitIndices", "FINITE", "FINITE_SET", "ForbiddenSetNotProper",
+        "INCONCLUSIVE", "INFINITE", "IndexSet", "InputOutOfRange", "KempnerLabError", "Margin",
+        "MissingBoundHint", "NonPositiveInput", "Numeral", "OracleReport",
+        "OverrideOutsideIndexSet", "PartialSum", "PowerIndices", "QuotientSequence",
+        "QuotientTooSmall", "RULE_FINITE", "RULE_INDEX_GROWTH", "RULE_INDEX_SPARSITY",
+        "RULE_RATIO_TAIL", "RangeTooLarge", "SetFinitenessUnknown", "SetIsFinite", "UNKNOWN",
+        "ZeroLeadingDigit", "base_value", "block_bracket", "block_count_exact", "block_reports",
+        "classify", "constant", "constraints", "convergence_by_bounded_quotients", "count_upto",
+        "density", "digit_count", "divergence_by_unbounded_quotients", "enumerate_block",
+        "errors", "exactsum", "explicit", "factorial", "fixed_bits", "from_digits", "gadic",
+        "harmonic", "indexsets", "is_finite_set", "is_member", "make_constraint",
+        "make_sequence", "oracle", "oracle_members", "oracle_report", "oracle_sum",
+        "partial_sum_exact", "power", "tail_lower_estimate", "tail_upper_estimate", "to_digits",
+        "weierstrass_lower",
+    ]
+
+
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
 def test_equal_instances_are_equal_and_hash_equal(cls):
     a, b = BUILDERS[cls](), BUILDERS[cls]()
@@ -134,7 +157,7 @@ def test_repr_matches_the_dataclass_format():
     )
     assert repr(_constraint()) == (
         "DigitConstraint(sequence=QuotientSequence(kind='constant', d=10, values=(), "
-        "extend='repeat-last', base=0, bound_hint=10), index_set=AllIndices(), "
+        "extend='repeat-last', base=0), index_set=AllIndices(), "
         "default_forbidden=frozenset({9}), overrides=())"
     )
     assert repr(kl.Numeral((1, 2), kl.constant(2))).startswith("Numeral(digits=(1, 2), sequence=")
