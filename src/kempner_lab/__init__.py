@@ -11,7 +11,6 @@ are decided only from symbolically certified hypotheses.
 from .constraints import (
     FINITE,
     INFINITE,
-    UNKNOWN,
     BlockCount,
     DigitConstraint,
     block_count_exact,
@@ -37,7 +36,6 @@ from .errors import (
     OverrideOutsideIndexSet,
     QuotientTooSmall,
     RangeTooLarge,
-    SetFinitenessUnknown,
     SetIsFinite,
     ZeroLeadingDigit,
 )
@@ -50,7 +48,6 @@ from .gadic import (
     explicit,
     factorial,
     from_digits,
-    make_sequence,
     power,
     to_digits,
 )

@@ -14,11 +14,10 @@ from . import indexsets
 from ._record import record
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
-from .gadic import EXTEND_MODES, RULE_KINDS, QuotientSequence, make_sequence
+from .gadic import EXTEND_MODES, RULE_FIELDS, RULE_KINDS, QuotientSequence
 
-# The fields each kind reads besides "kind".  Every sequence may also state
-# its rule's bound, which must then equal the bound the rule derives.
-SEQUENCE_FIELDS = {"constant": {"d"}, "explicit": {"values", "extend"}, "power": {"base"}, "factorial": set()}
+# The fields each index kind reads besides "kind".  A sequence reads its
+# RULE_FIELDS and may state its rule's bound, which must then be the rule's.
 INDEX_FIELDS = {
     "all": set(),
     "explicit": {"indices"},
@@ -71,20 +70,20 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
     kind = doc.get("kind")
     if kind not in RULE_KINDS:
         raise ConfigInvalid(f"{path}.kind", f"expected one of {RULE_KINDS}, got {kind!r}")
-    _check_fields(doc, {"kind", "bound_hint"} | SEQUENCE_FIELDS[kind], path)
+    _check_fields(doc, {"kind", "bound_hint", *RULE_FIELDS[kind]}, path)
     bound_hint = _expect_int(doc, "bound_hint", path, required=False)
     args = {}
     if kind == "constant":
         args["d"] = _expect_int(doc, "d", path)
     elif kind == "explicit":
-        args["values"] = _int_list(doc.get("values"), f"{path}.values")
+        args["values"] = tuple(_int_list(doc.get("values"), f"{path}.values"))
         args["extend"] = extend = doc.get("extend", "repeat-last")
         if extend not in EXTEND_MODES:
             raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
     elif kind == "power":
         args["base"] = _expect_int(doc, "base", path)
     try:
-        seq = make_sequence(kind, **args)
+        seq = QuotientSequence(kind, **args)
     except KempnerLabError as exc:
         raise ConfigInvalid(path, str(exc)) from exc
     if bound_hint not in (None, seq.bound_hint):
@@ -142,7 +141,7 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", f"position {i} is given twice")
         overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))
     try:
-        return make_constraint(seq, index_set, default=default or None, overrides=overrides)
+        return make_constraint(seq, index_set, default=default, overrides=overrides)
     except KempnerLabError as exc:
         raise ConfigInvalid(path, str(exc)) from exc
 

@@ -43,7 +43,6 @@ from .indexsets import ExplicitIndices, IndexSet
 
 FINITE = "finite"
 INFINITE = "infinite"
-UNKNOWN = "unknown"
 
 # Indices checked eagerly at construction; later positions are validated
 # when first touched.
@@ -58,16 +57,62 @@ _BATCH_CAP = 512  # most entries in the lowest-position table of ``_batches``
 
 @record
 class DigitConstraint:
+    """Forbidden digit sets U_i at the positions i of an index set I.
+
+    ``overrides`` holds pairs (i, U_i) in increasing i; elsewhere in I,
+    U_i is ``default_forbidden``, which may be None only when every member
+    of a finite I is overridden.  Construction checks every field, and each
+    U_i against d_i up to ``_VALIDATION_HORIZON``; later positions are
+    checked when a call first reads them.
+    """
+
     sequence: QuotientSequence
     index_set: IndexSet
     default_forbidden: frozenset[int] | None
     overrides: tuple[tuple[int, frozenset[int]], ...] = ()
 
     def __post_init__(self):
+        seq, index_set = self.sequence, self.index_set
+        if not isinstance(seq, QuotientSequence):
+            raise InputOutOfRange(f"constraint needs a quotient sequence, got {seq!r}")
+        if not isinstance(index_set, IndexSet):
+            raise InputOutOfRange(f"constraint needs an index set, got {index_set!r}")
+        if self.default_forbidden is not None:
+            _check_digits(self.default_forbidden, "default forbidden set")
+        if type(self.overrides) is not tuple:
+            raise InputOutOfRange(f"overrides must be a tuple of pairs, got {self.overrides!r}")
+        last = None
+        for pair in self.overrides:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise InputOutOfRange(f"override must be a (position, set) pair, got {pair!r}")
+            i, s = pair
+            check_int(i, "override position")
+            if last is not None and i <= last:
+                raise InputOutOfRange(f"override positions must increase strictly, got {i} after {last}")
+            last = i
+            if not index_set.contains(i):
+                raise OverrideOutsideIndexSet(
+                    f"override at position {i} which the index set does not constrain"
+                )
+            _check_digits(s, f"override at position {i}")
+            # Power rule: d_i >= 2**(i+1) > |U| when max(U) < 2**i, so far overrides skip building d_i
+            if seq.kind != "power" or max(s).bit_length() > i:
+                _check_forbidden(s, seq.quotient(i), i)
+        if self.default_forbidden is None:
+            # Every override lies in I, so I is fully overridden exactly when
+            # it is finite with |I| overrides.
+            growth = indexsets.growth(index_set)
+            if growth.kind != indexsets.GROWTH_BOUNDED or growth.limit != len(self.overrides):
+                raise EmptyForbiddenSet(
+                    "no default forbidden set and the index set is not fully overridden"
+                )
         # Rows of the positions read so far (see ``rows``), added only when
         # a call first reaches a position, so that is when it is validated.
         # Not a field: equality, hash and repr ignore it.
         object.__setattr__(self, "_rows", ())
+        # Eager sweep of small positions; catches defaults that are full or out
+        # of range wherever that is decidable up front.
+        rows(self, _VALIDATION_HORIZON + 1)
 
     def forbidden_at(self, i: int) -> frozenset[int] | None:
         """Forbidden set at position i, or None when i is unconstrained."""
@@ -76,14 +121,22 @@ class DigitConstraint:
         for idx, s in self.overrides:
             if idx == i:
                 return _check_forbidden(s, self.sequence.quotient(i), i)
-        if self.default_forbidden is None:
-            raise EmptyForbiddenSet(f"no forbidden set available at constrained position {i}")
         return _check_forbidden(self.default_forbidden, self.sequence.quotient(i), i)
 
 
-def _check_forbidden(s: frozenset[int], d_i: int, i: int) -> frozenset[int]:
+def _check_digits(s, what: str) -> None:
+    """Raise unless s is a nonempty frozenset of nonnegative ints."""
+    if not isinstance(s, frozenset):
+        raise InputOutOfRange(f"{what} must be a frozenset, got {s!r}")
+    for v in s:
+        check_int(v, "forbidden digit", DigitOutOfRange)
     if not s:
-        raise EmptyForbiddenSet(f"forbidden set at position {i} is empty")
+        raise EmptyForbiddenSet(f"{what} is empty")
+    if min(s) < 0:
+        raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(s)}")
+
+
+def _check_forbidden(s: frozenset[int], d_i: int, i: int) -> frozenset[int]:
     if max(s) >= d_i:
         raise DigitOutOfRange(
             f"forbidden digit {max(s)} at position {i} outside [0, {d_i - 1}]"
@@ -101,49 +154,10 @@ def make_constraint(
     default: frozenset[int] | set[int] | list[int] | None = None,
     overrides: Mapping[int, set[int] | frozenset[int] | list[int]] | None = None,
 ) -> DigitConstraint:
-    """Validate and build a digit constraint.
-
-    Every override index must belong to the index set.  A missing default
-    is allowed only when the index set is finite and fully overridden.
-    """
-    def checked(s) -> frozenset[int]:
-        sf = frozenset(s)
-        for v in sf:
-            check_int(v, "forbidden digit", DigitOutOfRange)
-        if min(sf, default=0) < 0:
-            raise DigitOutOfRange(f"forbidden digits must be nonnegative, got {min(sf)}")
-        return sf
-
-    default_f = checked(default) if default else None
-    over: list[tuple[int, frozenset[int]]] = []
-    for i, s in sorted((overrides or {}).items()):
-        check_int(i, "override position")
-        if not index_set.contains(i):
-            raise OverrideOutsideIndexSet(
-                f"override at position {i} which the index set does not constrain"
-            )
-        sf = checked(s)
-        if not sf:
-            raise EmptyForbiddenSet(f"override at position {i} is empty")
-        # Power rule: d_i >= 2**(i+1) > |U| when max(U) < 2**i, so far overrides skip building d_i
-        if seq.kind != "power" or max(sf).bit_length() > i:
-            _check_forbidden(sf, seq.quotient(i), i)
-        over.append((i, sf))
-
-    if default_f is None:
-        # Every override lies in I, so I is fully overridden exactly when
-        # it is finite with |I| overrides.
-        growth = indexsets.growth(index_set)
-        if growth.kind != indexsets.GROWTH_BOUNDED or growth.limit != len(over):
-            raise EmptyForbiddenSet(
-                "no default forbidden set and the index set is not fully overridden"
-            )
-
-    constraint = DigitConstraint(seq, index_set, default_f, tuple(over))
-    # Eager sweep of small positions; catches defaults that are full or out
-    # of range wherever that is decidable up front.
-    rows(constraint, _VALIDATION_HORIZON + 1)
-    return constraint
+    """A digit constraint from sets or lists and a mapping of overrides; an
+    empty default becomes None.  The record checks the rest."""
+    over = tuple((i, frozenset(s)) for i, s in sorted((overrides or {}).items()))
+    return DigitConstraint(seq, index_set, frozenset(default) if default else None, over)
 
 
 def fixed_bits(bits: Mapping[int, int]) -> DigitConstraint:
@@ -335,17 +349,14 @@ def is_finite_set(constraint: DigitConstraint) -> str:
 
     Finite exactly when the index set is cofinite and, beyond all
     overrides, the default forbids every nonzero digit.  The closed rule
-    algebra decides every combination, so UNKNOWN is reserved for future
-    rules without a certificate.
+    algebra decides every combination.
     """
     if not indexsets.is_cofinite(constraint.index_set):
         # Infinitely many unconstrained leading positions, each block there
         # nonempty, so the set is infinite.
         return INFINITE
+    # A cofinite I is infinite, so the constraint has a default.
     default = constraint.default_forbidden
-    if default is None:
-        # cofinite index sets cannot be fully overridden (overrides are finite)
-        return INFINITE
     seq = constraint.sequence
     if seq.kind in ("power", "factorial"):
         return INFINITE

@@ -60,10 +60,6 @@ class SetIsFinite(KempnerLabError):
     """The divergence test for sparse forbidden ratios requires an infinite set."""
 
 
-class SetFinitenessUnknown(KempnerLabError):
-    """Finiteness of the member set could not be certified either way."""
-
-
 class RangeTooLarge(KempnerLabError):
     """A brute-force range exceeds the oracle's hard cap."""
 

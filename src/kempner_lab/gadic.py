@@ -24,7 +24,9 @@ from .errors import (
     check_int,
 )
 
-RULE_KINDS = ("constant", "explicit", "power", "factorial")
+# The fields each rule reads besides ``kind``.
+RULE_FIELDS = {"constant": ("d",), "explicit": ("values", "extend"), "power": ("base",), "factorial": ()}
+RULE_KINDS = tuple(RULE_FIELDS)
 EXTEND_MODES = ("repeat-last", "cycle")
 
 # Constant bases whose digits the C formatter writes; int() reads any base
@@ -49,6 +51,12 @@ def _native_tables(d: int) -> tuple[str | None, bytes | None, bytes]:
 class QuotientSequence:
     """A rule generating the quotient at every digit position.
 
+    Rules: ``constant`` (d_i = d), ``explicit`` (a finite list of values,
+    extended by repeating the last one or cycling), ``power``
+    (d_i = base**(i+1)) and ``factorial`` (d_i = i + 2).  Construction
+    checks the rule's own fields, each quotient >= 2, and that every
+    field the rule does not read keeps its default.
+
     ``bound_hint`` is the rule's own uniform bound on all quotients: d for
     a constant rule, the largest value of an explicit one, and None for
     the unbounded power and factorial families.
@@ -61,17 +69,39 @@ class QuotientSequence:
     base: int = 0
 
     def __post_init__(self):
+        kind = self.kind
+        if kind not in RULE_KINDS:
+            raise InputOutOfRange(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
+        for name in QuotientSequence.__match_args__[1:]:
+            if name not in RULE_FIELDS[kind] and getattr(self, name) != getattr(QuotientSequence, name):
+                raise InputOutOfRange(f"the {kind} rule does not read {name}, got {getattr(self, name)!r}")
+        bound = None
+        if kind == "constant":
+            check_int(self.d, "d")
+            if self.d < 2:
+                raise QuotientTooSmall(f"constant quotient must be >= 2, got {self.d}")
+            bound = self.d
+        elif kind == "explicit":
+            if not self.values:
+                raise EmptyExplicitList("explicit rule needs at least one quotient")
+            for v in self.values:
+                check_int(v, "explicit quotient")
+            small = [v for v in self.values if v < 2]
+            if small:
+                raise QuotientTooSmall(f"explicit quotients must all be >= 2, got {small[0]}")
+            if self.extend not in EXTEND_MODES:
+                raise InputOutOfRange(f"unknown extension mode {self.extend!r}; expected one of {EXTEND_MODES}")
+            bound = max(self.values)
+        elif kind == "power":
+            check_int(self.base, "base")
+            if self.base < 2:
+                raise QuotientTooSmall(f"power rule base must be >= 2, got {self.base}")
         # Every digit conversion looks the sequence up in the prefix caches,
         # so the hash of the (immutable) fields is computed once, here.
-        object.__setattr__(self, "_hash", hash((self.kind, self.d, self.values, self.extend, self.base)))
-        bound = None
-        if self.kind == "constant":
-            bound = self.d
-        elif self.kind == "explicit":
-            bound = max(self.values)
+        object.__setattr__(self, "_hash", hash((kind, self.d, self.values, self.extend, self.base)))
         object.__setattr__(self, "bound_hint", bound)
         # Constant bases up to 36 convert in C (see _native_tables).
-        native = _native_tables(self.d) if self.kind == "constant" and 2 <= self.d <= 36 else None
+        native = _native_tables(self.d) if kind == "constant" and self.d <= 36 else None
         object.__setattr__(self, "_native", native)
 
     def __hash__(self) -> int:
@@ -97,62 +127,20 @@ class QuotientSequence:
         return i + 2
 
 
-def make_sequence(
-    kind: str,
-    *,
-    d: int | None = None,
-    values: tuple[int, ...] | list[int] | None = None,
-    extend: str = "repeat-last",
-    base: int | None = None,
-) -> QuotientSequence:
-    """Build and validate a quotient sequence from a rule description.
-
-    Rules: ``constant`` (d_i = d), ``explicit`` (a finite list extended by
-    repeating the last value or cycling), ``power`` (d_i = base**(i+1)),
-    ``factorial`` (d_i = i + 2).
-    """
-    if kind not in RULE_KINDS:
-        raise InputOutOfRange(f"unknown quotient rule {kind!r}; expected one of {RULE_KINDS}")
-    for name, value in (("d", d), ("base", base)):
-        if value is not None:
-            check_int(value, name)
-    if kind == "constant":
-        if d is None or d < 2:
-            raise QuotientTooSmall(f"constant quotient must be >= 2, got {d}")
-        return QuotientSequence(kind="constant", d=d)
-    if kind == "explicit":
-        if not values:
-            raise EmptyExplicitList("explicit rule needs at least one quotient")
-        vals = tuple(values)
-        for v in vals:
-            check_int(v, "explicit quotient")
-        small = [v for v in vals if v < 2]
-        if small:
-            raise QuotientTooSmall(f"explicit quotients must all be >= 2, got {small[0]}")
-        if extend not in EXTEND_MODES:
-            raise InputOutOfRange(f"unknown extension mode {extend!r}; expected one of {EXTEND_MODES}")
-        return QuotientSequence(kind="explicit", values=vals, extend=extend)
-    if kind == "power":
-        if base is None or base < 2:
-            raise QuotientTooSmall(f"power rule base must be >= 2, got {base}")
-        return QuotientSequence(kind="power", base=base)
-    return QuotientSequence(kind="factorial")
-
-
 def constant(d: int) -> QuotientSequence:
-    return make_sequence("constant", d=d)
+    return QuotientSequence("constant", d=d)
 
 
 def explicit(values, extend: str = "repeat-last") -> QuotientSequence:
-    return make_sequence("explicit", values=values, extend=extend)
+    return QuotientSequence("explicit", values=tuple(values or ()), extend=extend)
 
 
 def power(base: int) -> QuotientSequence:
-    return make_sequence("power", base=base)
+    return QuotientSequence("power", base=base)
 
 
 def factorial() -> QuotientSequence:
-    return make_sequence("factorial")
+    return QuotientSequence("factorial")
 
 
 @record

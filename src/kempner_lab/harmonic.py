@@ -27,7 +27,6 @@ from . import indexsets
 from ._record import record
 from .constraints import (
     FINITE,
-    UNKNOWN,
     DigitConstraint,
     _batches,
     count_upto,
@@ -38,7 +37,6 @@ from .errors import (
     InputOutOfRange,
     MissingBoundHint,
     NonPositiveInput,
-    SetFinitenessUnknown,
     SetIsFinite,
     check_int,
 )
@@ -370,7 +368,7 @@ def _ratio_tail_bracket(
     """
     seq = constraint.sequence
     ix = indexsets.normalize(constraint.index_set)
-    default_size = len(constraint.default_forbidden or ())
+    default_size = len(constraint.default_forbidden)
 
     if seq.kind == "power":
         b = seq.base
@@ -387,16 +385,14 @@ def _ratio_tail_bracket(
             u = _max_forbidden_size(constraint, horizon)
             return Fraction(u, b ** (horizon + 1) * (b - 1))
 
-    elif seq.kind == "factorial" and (g := indexsets.growth(ix)).kind == GROWTH_LOG:
+    else:  # factorial quotients along a log envelope (see the caller)
+        g = indexsets.growth(ix)
 
         def remainder_past(horizon: int) -> Fraction:
             # constrained positions above the horizon are spaced at least by
             # factor g.log_base, and each term is below size/position
             u = _max_forbidden_size(constraint, horizon)
             return Fraction(u * g.log_base, (horizon + 1) * (g.log_base - 1))
-
-    else:
-        raise SetFinitenessUnknown("no convergent enclosure for this ratio tail")
 
     # No closed form: sum explicit terms along the index set to a growing
     # horizon, closed off by a certified remainder bound.  Refinement stops
@@ -416,7 +412,7 @@ def _ratio_tail_bracket(
 
 
 def _max_forbidden_size(constraint: DigitConstraint, beyond: int) -> int:
-    sizes = [len(constraint.default_forbidden or ())]
+    sizes = [len(constraint.default_forbidden)]
     sizes += [len(s) for i, s in constraint.overrides if i > beyond]
     return max(sizes)
 
@@ -433,8 +429,6 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     finiteness = is_finite_set(constraint)
     if finiteness == FINITE:
         raise SetIsFinite("the member set is finite; its reciprocal sum trivially converges")
-    if finiteness == UNKNOWN:
-        raise SetFinitenessUnknown("cannot certify the member set is infinite")
 
     if indexsets.is_finite(constraint.index_set):
         return Classification(
@@ -535,18 +529,14 @@ def classify(constraint: DigitConstraint, delta=None) -> Classification:
     else:
         attempts.append("bounded-quotient test skipped: no declared quotient bound")
 
-    try:
-        unbounded = divergence_by_unbounded_quotients(constraint)
-    except (SetIsFinite, SetFinitenessUnknown) as exc:  # pragma: no cover - finite handled above
-        attempts.append(f"unbounded-quotient test unavailable: {exc}")
-    else:
-        if unbounded.verdict == DIVERGENT:
-            return Classification(
-                verdict=DIVERGENT,
-                rule_fired=unbounded.rule_fired,
-                margin=unbounded.margin,
-                notes=tuple(attempts) + unbounded.notes,
-            )
-        attempts.extend("unbounded-quotient test: " + n for n in unbounded.notes)
+    unbounded = divergence_by_unbounded_quotients(constraint)
+    if unbounded.verdict == DIVERGENT:
+        return Classification(
+            verdict=DIVERGENT,
+            rule_fired=unbounded.rule_fired,
+            margin=unbounded.margin,
+            notes=tuple(attempts) + unbounded.notes,
+        )
+    attempts.extend("unbounded-quotient test: " + n for n in unbounded.notes)
 
     return Classification(verdict=INCONCLUSIVE, notes=tuple(attempts))

@@ -35,6 +35,8 @@ class ExplicitIndices:
     indices: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.indices, frozenset):
+            raise InputOutOfRange(f"explicit index set must be a frozenset, got {self.indices!r}")
         if not self.indices:
             raise InputOutOfRange("explicit index set must be nonempty")
         for i in self.indices:

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kempner_lab as kl
@@ -19,6 +19,7 @@ from kempner_lab.errors import (
     InputOutOfRange,
     NonPositiveInput,
     OverrideOutsideIndexSet,
+    QuotientTooSmall,
 )
 
 
@@ -712,3 +713,91 @@ def test_bool_inputs_still_accepted(kempner10):
 def test_constraint_constructors_reject_non_int_parameters(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# Records built directly, each naming a state no certificate covers.
+_TEN = kl.constant(10)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: kl.DigitConstraint(_TEN, kl.AllIndices(), frozenset({-1})), DigitOutOfRange),
+        (lambda: kl.DigitConstraint(_TEN, kl.AllIndices(), None), EmptyForbiddenSet),
+        (lambda: kl.DigitConstraint(_TEN, kl.AllIndices(), frozenset()), EmptyForbiddenSet),
+        (lambda: kl.DigitConstraint(_TEN, kl.AllIndices(), frozenset(range(10))), ForbiddenSetNotProper),
+        (
+            lambda: kl.DigitConstraint(
+                _TEN, kl.ExplicitIndices(frozenset({1})), frozenset({1}), ((5, frozenset({3})),)
+            ),
+            OverrideOutsideIndexSet,
+        ),
+        (
+            lambda: kl.DigitConstraint(
+                _TEN, kl.AllIndices(), frozenset({9}), ((3, frozenset({1})), (3, frozenset({2})))
+            ),
+            InputOutOfRange,
+        ),
+        (lambda: kl.QuotientSequence("constant", d=1), QuotientTooSmall),
+        (lambda: kl.QuotientSequence("explicit", values=(10, 1)), QuotientTooSmall),
+        (lambda: kl.QuotientSequence("bogus"), InputOutOfRange),
+        (lambda: kl.QuotientSequence("explicit", values=(10,), extend="zigzag"), InputOutOfRange),
+        (lambda: kl.QuotientSequence("constant", d=10, base=3), InputOutOfRange),
+        (lambda: kl.ExplicitIndices([3, 3]), InputOutOfRange),
+    ],
+    ids=[
+        "negative-default", "no-default", "empty-default", "full-default", "override-outside",
+        "repeated-override", "d-1", "explicit-1", "bogus-kind", "bogus-extend", "foreign-field",
+        "explicit-indices-list",
+    ],
+)
+def test_directly_built_records_reject_uncertified_states(build, error):
+    with _address_space_cap(1 << 28), pytest.raises(error):
+        build()
+
+
+# Half the sets fit every rule below; the rest may be empty, hold -1 or pass d_i.
+_DIGIT_SETS = st.frozensets(st.integers(0, 1), min_size=1) | st.frozensets(st.integers(-1, 12), max_size=4)
+_DIRECT_RULES = st.one_of(
+    st.builds(lambda d: ("constant", {"d": d}), st.integers(0, 12)),
+    st.builds(
+        lambda values, extend: ("explicit", {"values": tuple(values), "extend": extend}),
+        st.lists(st.integers(1, 12), max_size=3),
+        st.sampled_from(["repeat-last", "cycle", "zigzag"]),
+    ),
+    st.builds(lambda base: ("power", {"base": base}), st.integers(0, 3)),
+    st.just(("factorial", {})),
+    st.sampled_from([("bogus", {}), ("constant", {"d": 10, "base": 3})]),
+)
+_DIRECT_INDEX_SETS = st.sampled_from([
+    kl.AllIndices(),
+    kl.ArithmeticIndices(1, 2),
+    kl.ExplicitIndices(frozenset({1, 2})),
+    kl.PowerIndices(2),
+    kl.ComplementIndices(kl.ExplicitIndices(frozenset({0}))),
+    kl.ComplementIndices(kl.AllIndices()),
+])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rule=_DIRECT_RULES,
+    index_set=_DIRECT_INDEX_SETS,
+    default=st.none() | _DIGIT_SETS,
+    overrides=st.just([])
+    | st.dictionaries(st.integers(-1, 6), _DIGIT_SETS, max_size=2).map(lambda m: sorted(m.items()))
+    | st.lists(st.tuples(st.integers(-1, 6), _DIGIT_SETS), max_size=3),  # unsorted, repeated
+    n=st.integers(1, 2000),
+)
+@example(rule=("constant", {"d": 10}), index_set=kl.AllIndices(), default=frozenset({-1}), overrides=[], n=100)
+def test_directly_built_records_are_rejected_or_sound(rule, index_set, default, overrides, n):
+    # Each field tuple is either refused or gives a record the oracle agrees with.
+    kind, fields = rule
+    with _address_space_cap(1 << 28):
+        try:
+            c = kl.DigitConstraint(kl.QuotientSequence(kind, **fields), index_set, default, tuple(overrides))
+        except (kl.KempnerLabError, TypeError):
+            return
+        assert kl.count_upto(c, n) == len(kl.oracle_members(c, 1, n))
+        assert kl.classify(c).verdict in {kl.CONVERGENT, kl.DIVERGENT, kl.FINITE_SET, kl.INCONCLUSIVE}
+    assert kl.make_constraint(c.sequence, index_set, default, dict(overrides)) == c

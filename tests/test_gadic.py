@@ -93,7 +93,7 @@ def test_bound_hint_is_not_an_argument():
     with pytest.raises(TypeError):
         kl.constant(10, bound_hint=12)
     with pytest.raises(TypeError):
-        kl.make_sequence("explicit", values=[3], bound_hint=3)
+        kl.explicit([3], bound_hint=3)
 
 
 def test_to_digits_examples():
@@ -305,7 +305,7 @@ def test_sequence_constructors_reject_non_int_parameters(call, message):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: kl.make_sequence("foo"), "unknown quotient rule 'foo'"),
+        (lambda: QuotientSequence("foo"), "unknown quotient rule 'foo'"),
         (lambda: kl.explicit([3], extend="x"), "unknown extension mode 'x'"),
     ],
 )

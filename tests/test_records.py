@@ -39,6 +39,11 @@ BUILDERS = {
 }
 TYPES = list(BUILDERS)
 IDS = [cls.__name__ for cls in TYPES]
+# Records whose constructor checks every field: no altered field gets through.
+CHECKED = {
+    kl.QuotientSequence, kl.DigitConstraint, kl.ExplicitIndices, kl.ArithmeticIndices,
+    kl.PowerIndices, kl.ComplementIndices,
+}
 
 
 def _fields(value) -> dict:
@@ -66,13 +71,13 @@ def test_public_names_are_pinned():
         "MissingBoundHint", "NonPositiveInput", "Numeral", "OracleReport",
         "OverrideOutsideIndexSet", "PartialSum", "PowerIndices", "QuotientSequence",
         "QuotientTooSmall", "RULE_FINITE", "RULE_INDEX_GROWTH", "RULE_INDEX_SPARSITY",
-        "RULE_RATIO_TAIL", "RangeTooLarge", "SetFinitenessUnknown", "SetIsFinite", "UNKNOWN",
+        "RULE_RATIO_TAIL", "RangeTooLarge", "SetIsFinite",
         "ZeroLeadingDigit", "base_value", "block_bracket", "block_count_exact", "block_reports",
         "classify", "constant", "constraints", "convergence_by_bounded_quotients", "count_upto",
         "density", "digit_count", "divergence_by_unbounded_quotients", "enumerate_block",
         "errors", "exactsum", "explicit", "factorial", "fixed_bits", "from_digits", "gadic",
         "harmonic", "indexsets", "is_finite_set", "is_member", "make_constraint",
-        "make_sequence", "oracle", "oracle_members", "oracle_report", "oracle_sum",
+        "oracle", "oracle_members", "oracle_report", "oracle_sum",
         "partial_sum_exact", "power", "tail_lower_estimate", "tail_upper_estimate", "to_digits",
         "weierstrass_lower",
     ]
@@ -97,7 +102,7 @@ def test_a_changed_field_breaks_equality(cls):
             others.append(cls(**(_fields(a) | {name: (value, "changed")})))
         except (TypeError, kl.KempnerLabError):
             pass  # validation rejects the altered value
-    assert all(other != a for other in others)
+    assert others == [] if cls in CHECKED else all(other != a for other in others)
     assert not others or {hash(other) for other in others} != {hash(a)}  # the hash reads the fields
 
 
