@@ -6,8 +6,8 @@ from a JSON document (``--config``).  Output goes to stdout in one of
 three formats: a human table (default), CSV, or JSON with rationals as
 num/den decimal strings.
 
-Exit codes: 0 success, 1 validation error, 2 budget truncation,
-3 oracle mismatch.
+Exit codes: 0 success, 1 validation or usage error, 2 budget
+truncation, 3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def _parse_params(pairs: list[str] | None) -> dict:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigInvalid("param", f"expected KEY=VALUE, got {pair!r}")
+        if key in out:
+            raise ConfigInvalid(f"params.{key}", "given twice")
         out[key] = value
     return out
 
@@ -463,7 +465,10 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which here means truncation
+        return EXIT_INVALID if exc.code == 2 else exc.code
     if not hasattr(args, "handler"):
         parser.print_help()
         return EXIT_INVALID

@@ -426,35 +426,25 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     i0 in I whose tail drops below 1/2 and the resulting per-block
     lower-bound constant delta = (1/2) * prod_{i in I, i < i0}(1 - |U_i|/d_i).
     """
-    finiteness = is_finite_set(constraint)
-    if finiteness == FINITE:
+    if is_finite_set(constraint) == FINITE:
         raise SetIsFinite("the member set is finite; its reciprocal sum trivially converges")
 
-    if indexsets.is_finite(constraint.index_set):
-        return Classification(
-            verdict=INCONCLUSIVE,
-            notes=("the divergence test needs infinitely many constrained positions",),
+    g = indexsets.growth(constraint.index_set)
+    reason = None
+    if g.kind == GROWTH_BOUNDED:
+        reason = "the divergence test needs infinitely many constrained positions"
+    elif constraint.sequence.bound_hint is not None:
+        reason = (
+            "forbidden-ratio series diverges: quotients are bounded, so each "
+            "ratio is at least 1/d over infinitely many positions"
         )
-
-    seq = constraint.sequence
-    if seq.kind in ("constant", "explicit"):
-        return Classification(
-            verdict=INCONCLUSIVE,
-            notes=(
-                "forbidden-ratio series diverges: quotients are bounded, so each "
-                "ratio is at least 1/d over infinitely many positions",
-            ),
+    elif constraint.sequence.kind == "factorial" and g.kind != GROWTH_LOG:
+        reason = (
+            "forbidden-ratio series diverges: constrained positions are too "
+            "dense for reciprocal-of-index terms to sum finitely"
         )
-    if seq.kind == "factorial":
-        g = indexsets.growth(constraint.index_set)
-        if g.kind != GROWTH_LOG:
-            return Classification(
-                verdict=INCONCLUSIVE,
-                notes=(
-                    "forbidden-ratio series diverges: constrained positions are too "
-                    "dense for reciprocal-of-index terms to sum finitely",
-                ),
-            )
+    if reason is not None:
+        return Classification(verdict=INCONCLUSIVE, notes=(reason,))
 
     # Certified convergent; find the smallest i0 in I whose tail is
     # certifiably below 1/2 (the enclosure's upper side decides).
@@ -499,14 +489,15 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
 
 
 def classify(constraint: DigitConstraint, delta=None) -> Classification:
-    """Dispatch over the finiteness check and both certified tests.
+    """Dispatch over the finiteness check and each applicable certified test.
 
-    Order: a finite member set short-circuits (its reciprocal sum is a
-    finite sum); then the bounded-quotient thresholds when the rule has a
-    bound; then the unbounded-quotient ratio test.  Every attempted
-    hypothesis that failed is recorded in the notes.
+    A finite member set short-circuits (its reciprocal sum is a finite
+    sum).  Otherwise each applicable test is tried in order: the
+    bounded-quotient thresholds when the rule has a bound, then the
+    unbounded-quotient ratio test.  The first verdict that is not
+    inconclusive is returned; every attempted hypothesis before it that
+    failed is recorded in the notes.
     """
-    attempts: list[str] = []
     finiteness = is_finite_set(constraint)
     if finiteness == FINITE:
         return Classification(
@@ -514,29 +505,16 @@ def classify(constraint: DigitConstraint, delta=None) -> Classification:
             rule_fired=RULE_FINITE,
             notes=("member set is finite: cofinite index set forbids every nonzero digit eventually",),
         )
-    attempts.append(f"finiteness check: member set is {finiteness}")
-
-    if constraint.sequence.bound_hint is not None:
-        bounded = convergence_by_bounded_quotients(constraint, delta=delta)
-        if bounded.verdict != INCONCLUSIVE:
-            return Classification(
-                verdict=bounded.verdict,
-                rule_fired=bounded.rule_fired,
-                margin=bounded.margin,
-                notes=tuple(attempts) + bounded.notes,
-            )
-        attempts.extend("bounded-quotient test: " + n for n in bounded.notes)
-    else:
+    attempts = [f"finiteness check: member set is {finiteness}"]
+    tests = []
+    if constraint.sequence.bound_hint is None:
         attempts.append("bounded-quotient test skipped: no declared quotient bound")
-
-    unbounded = divergence_by_unbounded_quotients(constraint)
-    if unbounded.verdict == DIVERGENT:
-        return Classification(
-            verdict=DIVERGENT,
-            rule_fired=unbounded.rule_fired,
-            margin=unbounded.margin,
-            notes=tuple(attempts) + unbounded.notes,
-        )
-    attempts.extend("unbounded-quotient test: " + n for n in unbounded.notes)
-
+    else:
+        tests.append(("bounded-quotient test", lambda c: convergence_by_bounded_quotients(c, delta)))
+    tests.append(("unbounded-quotient test", divergence_by_unbounded_quotients))
+    for name, test in tests:
+        result = test(constraint)
+        if result.verdict != INCONCLUSIVE:
+            return Classification(result.verdict, result.rule_fired, result.margin, tuple(attempts) + result.notes)
+        attempts.extend(f"{name}: {note}" for note in result.notes)
     return Classification(verdict=INCONCLUSIVE, notes=tuple(attempts))

@@ -2,12 +2,24 @@
 
 Each preset is the canonical JSON document the config layer parses, so
 ``preset --name X`` output can be saved, edited, and fed back through
-``--config`` unchanged.
+``--config`` unchanged.  Every document is spelled by ``_document``.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigInvalid
+
+
+def _document(sequence: dict, index_set: dict, default: list, overrides=None, **params) -> dict:
+    forbidden = {"default": default, "overrides": overrides or {}}
+    doc = {"sequence": sequence, "constraint": {"index_set": index_set, "forbidden": forbidden}}
+    if params:
+        doc["params"] = params
+    return doc
+
+
+def _constant(d: int) -> dict:
+    return {"kind": "constant", "d": d, "bound_hint": d}
 
 
 def _int_param(params: dict, name: str, default: int) -> int:
@@ -19,14 +31,7 @@ def _int_param(params: dict, name: str, default: int) -> int:
 
 def _base_g_no_c(params: dict) -> dict:
     g = _int_param(params, "g", 12)
-    c = _int_param(params, "c", 0)
-    return {
-        "sequence": {"kind": "constant", "d": g, "bound_hint": g},
-        "constraint": {
-            "index_set": {"kind": "all"},
-            "forbidden": {"default": [c], "overrides": {}},
-        },
-    }
+    return _document(_constant(g), {"kind": "all"}, [_int_param(params, "c", 0)])
 
 
 def _fixed_bits(params: dict) -> dict:
@@ -38,73 +43,27 @@ def _fixed_bits(params: dict) -> dict:
             continue
         try:
             pos, _, val = piece.partition(":")
-            bits[int(pos)] = int(val)
+            pos, val = int(pos), int(val)
         except ValueError:
             raise ConfigInvalid("params.bits", f"expected entries like '3:0', got {piece!r}")
-        if int(val) not in (0, 1):
+        if val not in (0, 1):
             raise ConfigInvalid("params.bits", f"a pinned bit must be 0 or 1, got {piece!r}")
+        if pos in bits:
+            raise ConfigInvalid("params.bits", f"position {pos} is given twice")
+        bits[pos] = val
     if not bits:
         raise ConfigInvalid("params.bits", "at least one pinned bit is required")
-    return {
-        "sequence": {"kind": "constant", "d": 2, "bound_hint": 2},
-        "constraint": {
-            "index_set": {"kind": "explicit", "indices": sorted(bits)},
-            "forbidden": {
-                "default": [],
-                "overrides": {str(i): [1 - v] for i, v in sorted(bits.items())},
-            },
-        },
-    }
-
-
-def _kempner10(params: dict) -> dict:
-    return {
-        "sequence": {"kind": "constant", "d": 10, "bound_hint": 10},
-        "constraint": {
-            "index_set": {"kind": "all"},
-            "forbidden": {"default": [9], "overrides": {}},
-        },
-    }
-
-
-def _power2_no_zero(params: dict) -> dict:
-    return {
-        "sequence": {"kind": "power", "base": 2},
-        "constraint": {
-            "index_set": {"kind": "all"},
-            "forbidden": {"default": [0], "overrides": {}},
-        },
-    }
-
-
-def _div_log(params: dict) -> dict:
-    return {
-        "sequence": {"kind": "constant", "d": 2, "bound_hint": 2},
-        "constraint": {
-            "index_set": {"kind": "powers-of", "base": 4},
-            "forbidden": {"default": [0], "overrides": {}},
-        },
-        "params": {"delta": "2/5"},
-    }
-
-
-def _open_boundary(params: dict) -> dict:
-    return {
-        "sequence": {"kind": "constant", "d": 2, "bound_hint": 2},
-        "constraint": {
-            "index_set": {"kind": "powers-of", "base": 2},
-            "forbidden": {"default": [0], "overrides": {}},
-        },
-    }
+    overrides = {str(i): [1 - v] for i, v in sorted(bits.items())}
+    return _document(_constant(2), {"kind": "explicit", "indices": sorted(bits)}, [], overrides)
 
 
 PRESETS = {
-    "kempner10": _kempner10,
+    "kempner10": lambda params: _document(_constant(10), {"kind": "all"}, [9]),
     "base-g-no-c": _base_g_no_c,
-    "power2-no-zero": _power2_no_zero,
+    "power2-no-zero": lambda params: _document({"kind": "power", "base": 2}, {"kind": "all"}, [0]),
     "fixed-bits": _fixed_bits,
-    "div-log": _div_log,
-    "open-boundary": _open_boundary,
+    "div-log": lambda params: _document(_constant(2), {"kind": "powers-of", "base": 4}, [0], delta="2/5"),
+    "open-boundary": lambda params: _document(_constant(2), {"kind": "powers-of", "base": 2}, [0]),
 }
 
 

@@ -503,7 +503,6 @@ def test_config_round_trip(capsys):
         ("base-g-no-c", {"g": "7", "c": "3"}),
         ("base-g-no-c", {"g": "0010"}),
         ("fixed-bits", {"bits": "5:0, 0:1,3:1"}),
-        ("fixed-bits", {"bits": "2:1,2:0"}),
     ]
     for name, params in forms:
         doc = preset_config(name, params)
@@ -512,8 +511,9 @@ def test_config_round_trip(capsys):
         assert code == 0
         assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert parse_json(out) == parse_dict(doc)
-    code, out, err = run(capsys, "preset", "--name", "base-g-no-c", "--param", "g=1")
-    assert code == 1 and out == "" and err.startswith("error:")
+    for argv in (["base-g-no-c", "--param", "g=1"], ["fixed-bits", "--param", "bits=2:1,2:0"]):
+        code, out, err = run(capsys, "preset", "--name", *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_config_validation_paths():
@@ -626,6 +626,36 @@ def test_presets_reject_parameters_they_do_not_read(capsys):
         assert e.value.path == f"params.{key}"
     code, out, err = run(capsys, "count", "--k", "2", "--preset", "base-g-no-c", "--param", "d=5")
     assert code == 1 and out == "" and "params.d" in err
+
+
+@pytest.mark.parametrize(
+    "preset, argv, message",
+    [
+        ("base-g-no-c", ["--param", "g=5", "--param", "g=7"], "params.g: given twice"),
+        ("base-g-no-c", ["--param", "g=5", "--param", "c=1", "--param", "c=1"], "params.c: given twice"),
+        ("fixed-bits", ["--param", "bits=2:1,2:0"], "params.bits: position 2 is given twice"),
+    ],
+)
+def test_a_repeated_preset_parameter_is_an_error(capsys, preset, argv, message):
+    code, out, err = run(capsys, "count", "--k", "2", "--preset", preset, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--k", "abc", "--preset", "kempner10"], ["frobnicate"]],
+    ids=["bad-int", "unknown-command"],
+)
+def test_usage_errors_exit_invalid_not_truncated(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err.startswith("usage: kempner-lab") and "error: argument" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]])
+def test_help_still_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: kempner-lab")
 
 
 def test_complement_index_set_config():

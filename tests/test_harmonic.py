@@ -408,6 +408,50 @@ def test_classify_notes_record_attempts(open_boundary):
     assert "unbounded-quotient" in joined
 
 
+_FINITENESS = "finiteness check: member set is infinite"
+_SKIPPED = "bounded-quotient test skipped: no declared quotient bound"
+
+
+@pytest.mark.parametrize(
+    "seq, ix, default, overrides, notes",
+    [
+        (kl.factorial(), kl.AllIndices(), {0}, None, (
+            _FINITENESS,
+            _SKIPPED,
+            "unbounded-quotient test: forbidden-ratio series diverges: constrained positions are too "
+            "dense for reciprocal-of-index terms to sum finitely",
+        )),
+        (kl.power(2), kl.ExplicitIndices(frozenset({0, 3})), None, {0: {0}, 3: {0}}, (
+            _FINITENESS,
+            _SKIPPED,
+            "unbounded-quotient test: the divergence test needs infinitely many constrained positions",
+        )),
+        (kl.constant(2), kl.PowerIndices(2), {0}, None, (
+            _FINITENESS,
+            "bounded-quotient test: neither threshold certified for delta in 1/2, 1/4, 1/10, 1/20",
+            "bounded-quotient test: count(k) grows logarithmically at the boundary rate; no verdict is sound here",
+            "unbounded-quotient test: forbidden-ratio series diverges: quotients are bounded, so each "
+            "ratio is at least 1/d over infinitely many positions",
+        )),
+        (kl.power(2), kl.AllIndices(), {0}, None, (
+            _FINITENESS,
+            _SKIPPED,
+            "forbidden-ratio tail from position 2 is 1/4 < 1/2; per-block reciprocal sums stay above "
+            "delta = 3/16 times each allowed-ratio product",
+            "window check: 64 explicit tail terms sum to no more than the certified tail",
+        )),
+        (kl.constant(2), kl.PowerIndices(4), {0}, None, (
+            _FINITENESS,
+            "count(k) certified <= (1-1/4) ln k / ln 2 for all k >= 16",
+        )),
+    ],
+    ids=["factorial-dense", "power-finite-index", "open-boundary", "power2-no-zero", "div-log"],
+)
+def test_classify_notes_are_pinned(seq, ix, default, overrides, notes):
+    # each failed attempt carries its test's name; a fired test's own notes come last, unprefixed
+    assert kl.classify(kl.make_constraint(seq, ix, default, overrides)).notes == notes
+
+
 def test_classify_explicit_rule_equivalence():
     # the verdict only depends on the sequence's behavior, not its spelling
     a = kl.make_constraint(kl.constant(10), kl.AllIndices(), default={9})
