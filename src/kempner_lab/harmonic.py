@@ -356,14 +356,12 @@ def convergence_by_bounded_quotients(constraint: DigitConstraint, delta=None) ->
 # --- unbounded-quotient certificate -----------------------------------------
 
 
-def _ratio_tail_bracket(
-    constraint: DigitConstraint, i0: int
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum over i in I, i >= i0 of |U_i|/d_i.
+def _ratio_tail_upper(constraint: DigitConstraint, i0: int) -> Fraction:
+    """Certified upper bound on sum over i in I, i >= i0 of |U_i|/d_i.
 
     Under d_i = b**(i+1) with one forbidden-set size, the tail is that size
     times ``indexsets.geometric_weight``, plus the exact override terms; it
-    is tight, and it alone settles ties at 1/2.  Index rules without a
+    is exact, and it alone settles ties at 1/2.  Index rules without a
     closed form, and factorial quotients, are refined adaptively.
     """
     seq = constraint.sequence
@@ -374,11 +372,10 @@ def _ratio_tail_bracket(
         b = seq.base
         weight = indexsets.geometric_weight(ix, b, i0)
         if weight is not None:
-            exact = default_size * weight + sum(
-                (Fraction(len(s) - default_size, seq.quotient(i)) for i, s in constraint.overrides if i >= i0),
-                Fraction(0),
-            )
-            return exact, exact
+            # an override of the default's size adds 0, so its quotient is never built
+            terms = (Fraction(len(s) - default_size, seq.quotient(i)) for i, s in constraint.overrides
+                     if i >= i0 and len(s) != default_size)
+            return default_size * weight + sum(terms, Fraction(0))
 
         def remainder_past(horizon: int) -> Fraction:
             # every position past the horizon, each term at most u / b**(i+1)
@@ -396,7 +393,7 @@ def _ratio_tail_bracket(
 
     # No closed form: sum explicit terms along the index set to a growing
     # horizon, closed off by a certified remainder bound.  Refinement stops
-    # once the enclosure settles the only question asked of it (tail vs 1/2).
+    # once the bound drops below 1/2 or the explicit terms alone reach it.
     half = Fraction(1, 2)
     horizon = max(i0, 4)
     for _ in range(64):
@@ -405,10 +402,10 @@ def _ratio_tail_bracket(
             _ratio_at(constraint, i)
             for i in takewhile(horizon.__ge__, indexsets.iter_members(ix, i0))
         )
-        remainder = remainder_past(horizon)
-        if partial + remainder < half or partial >= half:
+        upper = partial + remainder_past(horizon)
+        if upper < half or partial >= half:
             break
-    return partial, partial + remainder
+    return upper
 
 
 def _max_forbidden_size(constraint: DigitConstraint, beyond: int) -> int:
@@ -446,18 +443,12 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
     if reason is not None:
         return Classification(verdict=INCONCLUSIVE, notes=(reason,))
 
-    # Certified convergent; find the smallest i0 in I whose tail is
-    # certifiably below 1/2 (the enclosure's upper side decides).
-    half = Fraction(1, 2)
-    i0 = None
-    tail_value = None
-    for candidate in indexsets.iter_members(constraint.index_set):
-        _, hi = _ratio_tail_bracket(constraint, candidate)
-        if hi < half:
-            i0 = candidate
-            tail_value = hi
+    # Certified convergent, so the tail tends to 0: the smallest i0 in I
+    # whose certified tail bound is below 1/2 exists.
+    for i0 in indexsets.iter_members(constraint.index_set):
+        tail_value = _ratio_tail_upper(constraint, i0)
+        if tail_value < Fraction(1, 2):
             break
-    assert i0 is not None
 
     rs = rows(constraint, i0)[:i0]
     delta = Fraction(math.prod(r[2] for r in rs), 2 * math.prod(r[0] for r in rs))
@@ -491,29 +482,29 @@ def divergence_by_unbounded_quotients(constraint: DigitConstraint) -> Classifica
 def classify(constraint: DigitConstraint, delta=None) -> Classification:
     """Dispatch over the finiteness check and each applicable certified test.
 
-    A finite member set short-circuits (its reciprocal sum is a finite
-    sum).  Otherwise each applicable test is tried in order: the
-    bounded-quotient thresholds when the rule has a bound, then the
-    unbounded-quotient ratio test.  The first verdict that is not
-    inconclusive is returned; every attempted hypothesis before it that
-    failed is recorded in the notes.
+    A finite member set short-circuits: the unbounded-quotient test makes
+    that one check, so it runs first.  Otherwise the applicable results are
+    read in order: the bounded-quotient thresholds when the rule has a
+    bound, then the unbounded-quotient ratio test.  The first verdict
+    that is not inconclusive is returned; every attempted hypothesis
+    before it that failed is recorded in the notes.
     """
-    finiteness = is_finite_set(constraint)
-    if finiteness == FINITE:
+    try:
+        unbounded = divergence_by_unbounded_quotients(constraint)
+    except SetIsFinite:
         return Classification(
             verdict=FINITE_SET,
             rule_fired=RULE_FINITE,
             notes=("member set is finite: cofinite index set forbids every nonzero digit eventually",),
         )
-    attempts = [f"finiteness check: member set is {finiteness}"]
-    tests = []
+    attempts = ["finiteness check: member set is infinite"]
+    results = []
     if constraint.sequence.bound_hint is None:
         attempts.append("bounded-quotient test skipped: no declared quotient bound")
     else:
-        tests.append(("bounded-quotient test", lambda c: convergence_by_bounded_quotients(c, delta)))
-    tests.append(("unbounded-quotient test", divergence_by_unbounded_quotients))
-    for name, test in tests:
-        result = test(constraint)
+        results.append(("bounded-quotient test", convergence_by_bounded_quotients(constraint, delta)))
+    results.append(("unbounded-quotient test", unbounded))
+    for name, result in results:
         if result.verdict != INCONCLUSIVE:
             return Classification(result.verdict, result.rule_fired, result.margin, tuple(attempts) + result.notes)
         attempts.extend(f"{name}: {note}" for note in result.notes)

@@ -91,13 +91,19 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
-def test_budget_env_override(capsys, monkeypatch):
+def test_budget_env_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(cli.BUDGET_ENV, "10")
     code, _, err = run(capsys, "sum", "--upto", "1000000", "--preset", "kempner10")
     assert code == 2
     monkeypatch.setenv(cli.BUDGET_ENV, "not-a-number")
     code, _, err = run(capsys, "sum", "--upto", "10", "--preset", "kempner10")
     assert code == 1 and "KEMPNER_LAB_BUDGET" in err
+    # a config's params.budget overrides the environment variable
+    monkeypatch.setenv(cli.BUDGET_ENV, "1000")
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(dict(preset_config("kempner10"), params={"budget": 5})))
+    code, _, err = run(capsys, "sum", "--upto", "1000000", "--config", str(path))
+    assert code == 2 and "truncated after 5 members" in err
 
 
 def test_blocks_csv_shape_and_determinism(capsys):
@@ -207,7 +213,8 @@ def test_blocks_deep_power_rule_within_one_gib():
 
 
 def test_member_with_a_far_power_rule_override_within_one_gib(tmp_path):
-    # d_i for i = 10**10 has 10**10 + 1 bits; the override is valid without it
+    # d_i for i = 10**10 has 10**10 + 1 bits; the override is valid without
+    # it, and its ratio-tail term is 0 because |U_i| equals the default's size
     doc = {
         "sequence": {"kind": "power", "base": 2},
         "constraint": {
@@ -219,16 +226,23 @@ def test_member_with_a_far_power_rule_override_within_one_gib(tmp_path):
     path.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kempner_lab.cli", "member", "77", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=_cap_address_space_1gib,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "true"
+    outputs = []
+    for argv in (["member", "77"], ["classify", "--format", "json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kempner_lab.cli", *argv, "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=_cap_address_space_1gib,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].strip() == "true"
+    doc = json.loads(outputs[1])
+    assert doc["verdict"] == "divergent"
+    assert doc["margin"]["threshold_index"] == 2
+    assert doc["margin"]["delta"] == "3/16"
 
 
 def test_classify_presets(capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kempner_lab as kl
-from kempner_lab import indexsets
+from kempner_lab import harmonic, indexsets
 from kempner_lab.errors import (
     InputOutOfRange,
     MissingBoundHint,
@@ -319,6 +319,19 @@ def test_classify_bounded_presets_count_few_positions(name, monkeypatch):
         monkeypatch.setattr(cls, "count", counting(vars(cls)["count"]))
     kl.classify(constraint)
     assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_classify_checks_finiteness_once(name, monkeypatch):
+    calls = []
+
+    def counting(constraint):
+        calls.append(constraint)
+        return kl.is_finite_set(constraint)
+
+    monkeypatch.setattr(harmonic, "is_finite_set", counting)
+    harmonic.classify(constraint_from_preset(name))
+    assert len(calls) == 1
 
 
 def test_bounded_requires_hint(power2_no_zero):
