@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .config import Config, _parse_delta, parse_dict, parse_json
-from .constraints import block_count_exact, count_upto, is_member
+from .constraints import DigitConstraint, block_count_exact, count_upto, is_member
 from .errors import ConfigInvalid, KempnerLabError
 from .gadic import Numeral, digit_count, from_digits, to_digits
 from .harmonic import (
@@ -125,10 +125,12 @@ def _load_config(args) -> Config:
     raise ConfigInvalid("", "a configuration is required: pass --preset NAME or --config FILE")
 
 
-def _require_constraint(config: Config):
+def _load_constraint(args) -> tuple[Config, DigitConstraint]:
+    """The configuration and its digit constraint, which the command needs."""
+    config = _load_config(args)
     if config.constraint is None:
         raise ConfigInvalid("constraint", "this command needs a digit constraint")
-    return config.constraint
+    return config, config.constraint
 
 
 def _budget(args, config: Config) -> int:
@@ -182,8 +184,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    _, constraint = _load_constraint(args)
     if (args.k is None) == (args.upto is None):
         raise ConfigInvalid("count", "pass exactly one of --k or --upto")
     if args.k is not None:
@@ -201,15 +202,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    config = _load_config(args)
-    result = is_member(_require_constraint(config), args.n)
+    _, constraint = _load_constraint(args)
+    result = is_member(constraint, args.n)
     _emit(args, {"n": str(args.n), "member": result}, text="true" if result else "false")
     return EXIT_OK
 
 
 def _cmd_sum(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    config, constraint = _load_constraint(args)
     upto = _resolve(args, config, "upto", "--upto")
     result = partial_sum_exact(constraint, upto, _budget(args, config))
     _emit(
@@ -228,8 +228,7 @@ CHECK_CAP = 10**5
 
 
 def _cmd_blocks(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    config, constraint = _load_constraint(args)
     reports = block_reports(constraint, _resolve(args, config, "max_k", "--max-k"))
     _emit(
         args,
@@ -261,8 +260,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    config, constraint = _load_constraint(args)
     delta = _parse_delta(args.delta, "delta") if args.delta is not None else config.delta
     result = classify(constraint, delta=delta)
     margin = result.margin or Margin()
@@ -294,8 +292,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    _, constraint = _load_constraint(args)
     try:
         points = [int(p) for p in args.at.split(",") if p]
     except ValueError as exc:
@@ -311,8 +308,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args)
-    constraint = _require_constraint(config)
+    config, constraint = _load_constraint(args)
     n_max = _resolve(args, config, "upto", "--upto")
     members = oracle_members(constraint, 1, n_max)
     records, lines, failures = [], [], []

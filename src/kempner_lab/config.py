@@ -14,7 +14,7 @@ from . import indexsets
 from ._record import record
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
-from .gadic import EXTEND_MODES, RULE_FIELDS, RULE_KINDS, QuotientSequence
+from .gadic import EXTEND_MODES, RULE_FIELDS, QuotientSequence
 
 # The fields each index kind reads besides "kind".  A sequence reads its
 # RULE_FIELDS and may state its rule's bound, which must then be the rule's.
@@ -25,7 +25,6 @@ INDEX_FIELDS = {
     "powers-of": {"base"},
     "complement": {"of"},
 }
-INDEX_KINDS = tuple(INDEX_FIELDS)
 
 
 @record
@@ -49,7 +48,10 @@ def _expect_int(doc: dict, key: str, path: str, required: bool = True) -> int | 
     return v
 
 
-def _check_fields(doc: dict, known: set, path: str, message: str = "unknown field") -> None:
+def _check_fields(doc, known: set, path: str, message: str = "unknown field") -> None:
+    """Raise unless ``doc`` is an object that holds only ``known`` fields."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(path, "expected an object")
     unknown = set(doc) - known
     if unknown:
         key = min(unknown, key=str)
@@ -64,13 +66,27 @@ def _int_list(value, path: str) -> list:
     return value
 
 
-def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
+def _kind(doc, fields: dict, path: str, *extra: str) -> str:
+    """The kind of object ``doc``, which holds only that kind's ``fields`` and ``extra``."""
     if not isinstance(doc, dict):
         raise ConfigInvalid(path, "expected an object")
-    kind = doc.get("kind")
-    if kind not in RULE_KINDS:
-        raise ConfigInvalid(f"{path}.kind", f"expected one of {RULE_KINDS}, got {kind!r}")
-    _check_fields(doc, {"kind", "bound_hint", *RULE_FIELDS[kind]}, path)
+    kind, kinds = doc.get("kind"), tuple(fields)
+    if kind not in kinds:  # a tuple, as a kind may be unhashable
+        raise ConfigInvalid(f"{path}.kind", f"expected one of {kinds}, got {kind!r}")
+    _check_fields(doc, {"kind", *extra, *fields[kind]}, path)
+    return kind
+
+
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a record's own error raised at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except KempnerLabError as exc:
+        raise ConfigInvalid(path, str(exc)) from exc
+
+
+def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
+    kind = _kind(doc, RULE_FIELDS, path, "bound_hint")
     bound_hint = _expect_int(doc, "bound_hint", path, required=False)
     args = {}
     if kind == "constant":
@@ -82,10 +98,7 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
             raise ConfigInvalid(f"{path}.extend", f"expected 'repeat-last' or 'cycle', got {extend!r}")
     elif kind == "power":
         args["base"] = _expect_int(doc, "base", path)
-    try:
-        seq = QuotientSequence(kind, **args)
-    except KempnerLabError as exc:
-        raise ConfigInvalid(path, str(exc)) from exc
+    seq = _built(path, QuotientSequence, kind, **args)
     if bound_hint not in (None, seq.bound_hint):
         bound = "none" if seq.bound_hint is None else seq.bound_hint
         raise ConfigInvalid(f"{path}.bound_hint", f"the {kind} rule's bound is {bound}, not {bound_hint}")
@@ -93,39 +106,24 @@ def _parse_sequence(doc, path: str = "sequence") -> QuotientSequence:
 
 
 def _parse_index_set(doc, path: str) -> indexsets.IndexSet:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(path, "expected an object")
-    kind = doc.get("kind")
-    if kind not in INDEX_KINDS:
-        raise ConfigInvalid(f"{path}.kind", f"expected one of {INDEX_KINDS}, got {kind!r}")
-    _check_fields(doc, {"kind"} | INDEX_FIELDS[kind], path)
-    try:
-        if kind == "all":
-            return indexsets.AllIndices()
-        if kind == "explicit":
-            indices = _int_list(doc.get("indices"), f"{path}.indices")
-            return indexsets.ExplicitIndices(frozenset(indices))
-        if kind == "arithmetic":
-            return indexsets.ArithmeticIndices(
-                first=_expect_int(doc, "first", path), step=_expect_int(doc, "step", path)
-            )
-        if kind == "powers-of":
-            return indexsets.PowerIndices(base=_expect_int(doc, "base", path))
-        return indexsets.ComplementIndices(_parse_index_set(doc.get("of"), f"{path}.of"))
-    except ConfigInvalid:
-        raise
-    except KempnerLabError as exc:
-        raise ConfigInvalid(path, str(exc)) from exc
+    kind = _kind(doc, INDEX_FIELDS, path)
+    if kind == "all":
+        return indexsets.AllIndices()
+    if kind == "explicit":
+        indices = _int_list(doc.get("indices"), f"{path}.indices")
+        return _built(path, indexsets.ExplicitIndices, frozenset(indices))
+    if kind == "arithmetic":
+        first, step = _expect_int(doc, "first", path), _expect_int(doc, "step", path)
+        return _built(path, indexsets.ArithmeticIndices, first=first, step=step)
+    if kind == "powers-of":
+        return _built(path, indexsets.PowerIndices, base=_expect_int(doc, "base", path))
+    return _built(path, indexsets.ComplementIndices, _parse_index_set(doc.get("of"), f"{path}.of"))
 
 
 def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> DigitConstraint:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(path, "expected an object")
     _check_fields(doc, {"index_set", "forbidden"}, path)
     index_set = _parse_index_set(doc.get("index_set"), f"{path}.index_set")
     forbidden = doc.get("forbidden")
-    if not isinstance(forbidden, dict):
-        raise ConfigInvalid(f"{path}.forbidden", "expected an object")
     _check_fields(forbidden, {"default", "overrides"}, f"{path}.forbidden")
     default = _int_list(forbidden.get("default", []), f"{path}.forbidden.default")
     overrides_doc = forbidden.get("overrides", {})
@@ -140,10 +138,7 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
         if i in overrides:
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", f"position {i} is given twice")
         overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))
-    try:
-        return make_constraint(seq, index_set, default=default, overrides=overrides)
-    except KempnerLabError as exc:
-        raise ConfigInvalid(path, str(exc)) from exc
+    return _built(path, make_constraint, seq, index_set, default=default, overrides=overrides)
 
 
 def _parse_delta(value, path: str) -> Fraction:
@@ -166,8 +161,6 @@ def parse_dict(doc: dict) -> Config:
     if "constraint" in doc and doc["constraint"] is not None:
         constraint = _parse_constraint(doc["constraint"], seq)
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigInvalid("params", "expected an object")
     _check_fields(params, {"max_k", "upto", "budget", "delta"}, "params", "unknown parameter")
     delta = _parse_delta(params["delta"], "params.delta") if "delta" in params else None
     return Config(

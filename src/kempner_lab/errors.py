@@ -77,9 +77,11 @@ def check_int(value, what: str, error: type[KempnerLabError] = InputOutOfRange) 
 class ConfigInvalid(KempnerLabError):
     """A configuration document failed validation.
 
-    ``path`` points at the offending field, e.g. ``sequence.kind``.
+    ``path`` points at the offending field, e.g. ``sequence.kind``; it is
+    empty when the error concerns the whole document or the command line,
+    and the message then stands alone.
     """
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path

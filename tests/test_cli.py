@@ -655,6 +655,141 @@ def test_a_repeated_preset_parameter_is_an_error(capsys, preset, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_TEN = {"kind": "constant", "d": 10}
+_HELP = object()  # stands for the parser's help text
+
+
+def _doc(index_set=None, forbidden=None, **extra) -> dict:
+    constraint = {"index_set": index_set or {"kind": "all"}, "forbidden": forbidden or {"default": [9]}}
+    return {"sequence": _TEN, "constraint": constraint, **extra}
+
+
+# Every input-error path of the config layer and the CLI, with its exact
+# output.  A document (a dict, or raw text) is written to a file and passed
+# with --config; {tmp} in argv and err stands for that file's folder.
+@pytest.mark.parametrize(
+    "argv, doc, code, out, err",
+    [
+        (
+            ["count", "--k", "1", "--preset", "base-g-no-c", "--param", "g"],
+            None, 1, "", "error: param: expected KEY=VALUE, got 'g'\n",
+        ),
+        (
+            ["blocks", "--preset", "kempner10"],
+            {"sequence": _TEN}, 1, "", "error: --config and --preset are mutually exclusive\n",
+        ),
+        (["count", "--k", "1", "--param", "g=5"], _doc(), 1, "", "error: param: --param only applies to --preset\n"),
+        (
+            ["count", "--k", "1", "--config", "{tmp}/missing.json"],
+            None, 1, "",
+            "error: cannot read config file: [Errno 2] No such file or directory: '{tmp}/missing.json'\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            None, 1, "", "error: a configuration is required: pass --preset NAME or --config FILE\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            {"sequence": _TEN}, 1, "", "error: constraint: this command needs a digit constraint\n",
+        ),
+        (
+            ["density", "--at", "1,x", "--preset", "kempner10"],
+            None, 1, "", "error: at: expected comma-separated integers, got '1,x'\n",
+        ),
+        ([], None, 1, _HELP, ""),
+        (
+            ["encode", "5"],
+            {"sequence": {"kind": "constant", "d": "10"}}, 1, "", "error: sequence.d: expected an integer, got '10'\n",
+        ),
+        (
+            ["encode", "5"],
+            {"sequence": {"kind": "explicit", "values": 3}}, 1, "",
+            "error: sequence.values: expected a list of integers\n",
+        ),
+        (["encode", "5"], {"sequence": [10]}, 1, "", "error: sequence: expected an object\n"),
+        (["count", "--k", "1"], _doc(index_set="all"), 1, "", "error: constraint.index_set: expected an object\n"),
+        (
+            ["count", "--k", "1"],
+            _doc(index_set={"kind": "odd"}), 1, "",
+            "error: constraint.index_set.kind: expected one of "
+            "('all', 'explicit', 'arithmetic', 'powers-of', 'complement'), got 'odd'\n",
+        ),
+        (
+            ["encode", "5"],
+            {"sequence": {"kind": ["constant"]}}, 1, "",
+            "error: sequence.kind: expected one of ('constant', 'explicit', 'power', 'factorial'), got ['constant']\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            _doc(index_set={"kind": "arithmetic", "first": 0, "step": 0}), 1, "",
+            "error: constraint.index_set: step must be >= 1, got 0\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            _doc(index_set={"kind": "complement", "of": {"kind": "powers-of", "base": 1}}), 1, "",
+            "error: constraint.index_set.of: power index base must be >= 2, got 1\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            {"sequence": _TEN, "constraint": [1]}, 1, "", "error: constraint: expected an object\n",
+        ),
+        (["count", "--k", "1"], _doc(forbidden=[9]), 1, "", "error: constraint.forbidden: expected an object\n"),
+        (
+            ["count", "--k", "1"],
+            _doc(forbidden={"default": [9], "overrides": [1]}), 1, "",
+            "error: constraint.forbidden.overrides: expected an object keyed by position\n",
+        ),
+        (
+            ["count", "--k", "1"],
+            _doc(forbidden={"default": [10]}), 1, "",
+            "error: constraint: forbidden digit 10 at position 0 outside [0, 9]\n",
+        ),
+        (
+            ["classify"],
+            _doc(params={"delta": 0.4}), 0,
+            "verdict: convergent\nrule: bounded-quotients:index-count-dominates-threshold\ndelta: 2/5\nk0: 52\n"
+            "note: finiteness check: member set is infinite\n"
+            "note: count(k) certified >= (1+2/5) ln k / ln(10/9) for all k >= 52\n",
+            "",
+        ),
+        (["encode", "5"], [1], 1, "", "error: top-level document must be an object\n"),
+        (
+            ["encode", "5"],
+            "{not json", 1, "",
+            "error: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
+        ),
+        (["encode", "5"], {"constraint": None}, 1, "", "error: sequence: required field is missing\n"),
+        (["encode", "5"], {"sequence": _TEN, "params": [1]}, 1, "", "error: params: expected an object\n"),
+        (["member", "9", "--preset", "fixed-bits", "--param", "bits=0:1,,2:0"], None, 0, "true\n", ""),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=a:b"],
+            None, 1, "", "error: params.bits: expected entries like '3:0', got 'a:b'\n",
+        ),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=,"],
+            None, 1, "", "error: params.bits: at least one pinned bit is required\n",
+        ),
+    ],
+    ids=[
+        "param-without-equals", "config-and-preset", "config-and-param", "unreadable-config", "no-config",
+        "no-constraint", "density-bad-point", "no-subcommand", "int-field-not-int", "int-list-not-list",
+        "sequence-not-object", "index-set-not-object", "index-kind-unknown", "kind-unhashable", "index-step-0",
+        "complement-inner-record", "constraint-not-object", "forbidden-not-object", "overrides-not-object",
+        "default-outside-quotient", "delta-json-float", "top-level-not-object", "not-json", "sequence-missing",
+        "params-not-object", "bits-empty-entry", "bits-not-int", "bits-none",
+    ],
+)
+def test_input_errors_exit_with_one_line(capsys, tmp_path, argv, doc, code, out, err):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv += ["--config", str(path)]
+    if out is _HELP:
+        out = cli._build_parser().format_help()
+    assert run(capsys, *argv) == (code, out, err.replace("{tmp}", str(tmp_path)))
+
+
 @pytest.mark.parametrize(
     "argv",
     [["count", "--k", "abc", "--preset", "kempner10"], ["frobnicate"]],

@@ -159,6 +159,13 @@ def test_membership_matches_direct_decode(preset):
         assert kl.is_member(c, n) == _decoded_ok(c, n)
 
 
+def test_membership_past_the_cached_rows_can_fail(kempner10):
+    # 9 * 10**70 + 1 has its forbidden 9 at position 70, past the 65 rows built so far
+    assert len(kempner10._rows) == 65
+    assert not kl.is_member(kempner10, 9 * 10**70 + 1)
+    assert len(kempner10._rows) == 71
+
+
 # One constraint per quotient rule and index-set kind, each with overrides.
 # They are shared by every example, so later examples run against rows that
 # earlier ones have already built.
@@ -674,6 +681,8 @@ def test_deep_block_first_members_in_small_state(power2_no_zero):
         lambda c: kl.block_count_exact(c, 1.0),
         lambda c: list(kl.enumerate_block(c, 1.0, 10)),
         lambda c: list(kl.enumerate_block(c, 1, 10.0)),
+        lambda c: kl.count_upto(c, -1),
+        lambda c: list(kl.enumerate_block(c, -1, 10)),
     ],
 )
 def test_non_int_inputs_raise_library_errors(kempner10, call):
@@ -744,11 +753,12 @@ _TEN = kl.constant(10)
         (lambda: kl.QuotientSequence("explicit", values=(10,), extend="zigzag"), InputOutOfRange),
         (lambda: kl.QuotientSequence("constant", d=10, base=3), InputOutOfRange),
         (lambda: kl.ExplicitIndices([3, 3]), InputOutOfRange),
+        (lambda: kl.DigitConstraint(_TEN, kl.AllIndices(), frozenset({9}), [(3, frozenset({1}))]), InputOutOfRange),
     ],
     ids=[
         "negative-default", "no-default", "empty-default", "full-default", "override-outside",
         "repeated-override", "d-1", "explicit-1", "bogus-kind", "bogus-extend", "foreign-field",
-        "explicit-indices-list",
+        "explicit-indices-list", "overrides-list",
     ],
 )
 def test_directly_built_records_reject_uncertified_states(build, error):

@@ -288,6 +288,11 @@ def test_quotient_rejects_non_int_position(seq, i):
         seq.quotient(i)
 
 
+def test_quotient_rejects_a_negative_position():
+    with pytest.raises(InputOutOfRange, match="negative digit position -1"):
+        kl.power(2).quotient(-1)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

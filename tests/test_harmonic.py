@@ -115,6 +115,8 @@ def test_partial_sum_truncated_only_when_a_member_is_left_out(kempner10):
         lambda c: kl.block_reports(c, 2.0),
         lambda c: kl.density(c, 9.5),
         lambda c: kl.density(c, "5"),
+        lambda c: kl.tail_lower_estimate(c, 5, 4),
+        lambda c: kl.classify(c, delta=0),
     ],
 )
 def test_non_int_inputs_raise_library_errors(kempner10, call):
@@ -609,6 +611,48 @@ def test_ratio_tail_delta_is_the_allowed_product(seq, ix, default):
         d = seq.quotient(i)
         product *= Fraction(d - len(c.forbidden_at(i) or ()), d)
     assert r.margin.delta == product / 2 and _is_reduced(r.margin.delta)
+
+
+@st.composite
+def _power_tail_cases(draw):
+    """The power rule, an index set with a closed-form tail, and overrides
+    whose size differs from the default's."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    ix = draw(
+        st.one_of(
+            st.just(kl.AllIndices()),
+            st.builds(kl.ArithmeticIndices, st.integers(0, 4), st.integers(1, 3)),
+            st.sets(st.integers(0, 8), min_size=1).map(
+                lambda e: kl.ComplementIndices(kl.ExplicitIndices(frozenset(e)))
+            ),
+        )
+    )
+    default = draw(st.sets(st.integers(0, b - 1), min_size=1, max_size=b - 1))
+    overrides = {}
+    for i in draw(st.lists(st.sampled_from([i for i in range(12) if ix.contains(i)]), max_size=3, unique=True)):
+        d = b ** (i + 1)
+        sizes = [n for n in range(1, min(d, 8)) if n != len(default)]
+        if sizes:
+            size = draw(st.sampled_from(sizes))
+            overrides[i] = draw(st.sets(st.integers(0, min(d, 64) - 1), min_size=size, max_size=size))
+    return b, ix, default, overrides
+
+
+@settings(deadline=None, max_examples=100)
+@example(case=(2, kl.AllIndices(), {0}, {5: {1, 2, 3}}))
+@given(case=_power_tail_cases())
+def test_ratio_tail_closed_form_counts_each_override(case):
+    # H lies past the last override, so beyond H every term is the default's
+    b, ix, default, overrides = case
+    c = kl.make_constraint(kl.power(b), ix, default=default, overrides=overrides)
+    r = kl.divergence_by_unbounded_quotients(c)
+    assert r.verdict == kl.DIVERGENT
+    i0 = r.margin.threshold_index
+    H = max([i0, *overrides])
+    head = sum(
+        (Fraction(len(c.forbidden_at(i)), b ** (i + 1)) for i in range(i0, H + 1) if ix.contains(i)), Fraction(0)
+    )
+    assert r.margin.value == head + len(default) * indexsets.geometric_weight(ix, b, H + 1)
 
 
 def test_kempner10_brackets_at_depth_505(kempner10):

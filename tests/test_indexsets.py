@@ -25,6 +25,7 @@ RULES = [
 
 @pytest.mark.parametrize("ix", RULES, ids=lambda r: type(r).__name__ + repr(getattr(r, "inner", "")))
 def test_count_matches_membership(ix):
+    assert ix.count(-1) == 0
     running = 0
     for k in range(500):
         if ix.contains(k):
