@@ -14,6 +14,7 @@ from . import indexsets
 from ._record import record
 from .constraints import DigitConstraint, make_constraint
 from .errors import ConfigInvalid, KempnerLabError
+from .exactsum import as_fraction
 from .gadic import EXTEND_MODES, RULE_FIELDS, QuotientSequence
 
 # The fields each index kind reads besides "kind".  A sequence reads its
@@ -46,6 +47,12 @@ def _expect_int(doc: dict, key: str, path: str, required: bool = True) -> int | 
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigInvalid(f"{path}.{key}", f"expected an integer, got {v!r}")
     return v
+
+
+def _decimal(text) -> int | None:
+    """text as an int when it is ASCII decimal digits and nothing else;
+    int() would also read "+2", "1_0", " 5 " and non-ASCII digits."""
+    return int(text) if isinstance(text, str) and text.isascii() and text.isdigit() else None
 
 
 def _check_fields(doc, known: set, path: str, message: str = "unknown field") -> None:
@@ -131,10 +138,9 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
         raise ConfigInvalid(f"{path}.forbidden.overrides", "expected an object keyed by position")
     overrides = {}
     for key, val in overrides_doc.items():
-        # int() would also read "+2", "1_0", " 5 " and non-ASCII digits
-        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        i = _decimal(key)
+        if i is None:
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", "keys must be decimal positions")
-        i = int(key)
         if i in overrides:
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", f"position {i} is given twice")
         overrides[i] = set(_int_list(val, f"{path}.forbidden.overrides.{key}"))
@@ -142,12 +148,10 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
 
 
 def _parse_delta(value, path: str) -> Fraction:
-    try:
-        if isinstance(value, float):
-            return Fraction(str(value))
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ConfigInvalid(path, f"expected a rational like '2/5' or 0.4, got {value!r}") from exc
+    f = as_fraction(value)
+    if f is None:
+        raise ConfigInvalid(path, f"expected a rational like '2/5' or 0.4, got {value!r}")
+    return f
 
 
 def parse_dict(doc: dict) -> Config:

@@ -53,6 +53,15 @@ def add_reduced(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return num, den
 
 
+def as_fraction(value) -> Fraction | None:
+    """value as a Fraction, a float through its shortest repr (0.4 is 2/5),
+    or None when it names no rational."""
+    try:
+        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        return None
+
+
 def from_coprime(num: int, den: int) -> Fraction:
     """num/den, for coprime num and den > 0, as a Fraction without a gcd."""
     out = object.__new__(Fraction)

@@ -7,6 +7,7 @@ Each preset is the canonical JSON document the config layer parses, so
 
 from __future__ import annotations
 
+from .config import _decimal
 from .errors import ConfigInvalid
 
 
@@ -23,10 +24,12 @@ def _constant(d: int) -> dict:
 
 
 def _int_param(params: dict, name: str, default: int) -> int:
-    try:
-        return int(params.get(name, default))
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"params.{name}", f"expected an integer, got {params[name]!r}")
+    """A parameter spelled as a config override key is: decimal digits only."""
+    value = params.get(name, default)
+    out = value if type(value) is int else _decimal(value)
+    if out is None:
+        raise ConfigInvalid(f"params.{name}", f"expected an integer, got {value!r}")
+    return out
 
 
 def _base_g_no_c(params: dict) -> dict:
@@ -41,10 +44,9 @@ def _fixed_bits(params: dict) -> dict:
         piece = piece.strip()
         if not piece:
             continue
-        try:
-            pos, _, val = piece.partition(":")
-            pos, val = int(pos), int(val)
-        except ValueError:
+        pos, _, val = piece.partition(":")
+        pos, val = _decimal(pos), _decimal(val)
+        if pos is None or val is None:
             raise ConfigInvalid("params.bits", f"expected entries like '3:0', got {piece!r}")
         if val not in (0, 1):
             raise ConfigInvalid("params.bits", f"a pinned bit must be 0 or 1, got {piece!r}")

@@ -769,6 +769,30 @@ def _doc(index_set=None, forbidden=None, **extra) -> dict:
             ["member", "9", "--preset", "fixed-bits", "--param", "bits=,"],
             None, 1, "", "error: params.bits: at least one pinned bit is required\n",
         ),
+        (
+            ["encode", "100", "--preset", "base-g-no-c", "--param", "g=1_0"],
+            None, 1, "", "error: params.g: expected an integer, got '1_0'\n",
+        ),
+        (
+            ["encode", "100", "--preset", "base-g-no-c", "--param", "g=+7"],
+            None, 1, "", "error: params.g: expected an integer, got '+7'\n",
+        ),
+        (
+            ["encode", "100", "--preset", "base-g-no-c", "--param", "c= 1"],
+            None, 1, "", "error: params.c: expected an integer, got ' 1'\n",
+        ),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=1_0:1"],
+            None, 1, "", "error: params.bits: expected entries like '3:0', got '1_0:1'\n",
+        ),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=0 :1"],
+            None, 1, "", "error: params.bits: expected entries like '3:0', got '0 :1'\n",
+        ),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=-1:1"],
+            None, 1, "", "error: params.bits: expected entries like '3:0', got '-1:1'\n",
+        ),
     ],
     ids=[
         "param-without-equals", "config-and-preset", "config-and-param", "unreadable-config", "no-config",
@@ -776,7 +800,8 @@ def _doc(index_set=None, forbidden=None, **extra) -> dict:
         "sequence-not-object", "index-set-not-object", "index-kind-unknown", "kind-unhashable", "index-step-0",
         "complement-inner-record", "constraint-not-object", "forbidden-not-object", "overrides-not-object",
         "default-outside-quotient", "delta-json-float", "top-level-not-object", "not-json", "sequence-missing",
-        "params-not-object", "bits-empty-entry", "bits-not-int", "bits-none",
+        "params-not-object", "bits-empty-entry", "bits-not-int", "bits-none", "param-underscore", "param-plus",
+        "param-space", "bits-underscore", "bits-space", "bits-negative-position",
     ],
 )
 def test_input_errors_exit_with_one_line(capsys, tmp_path, argv, doc, code, out, err):

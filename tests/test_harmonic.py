@@ -595,6 +595,55 @@ def test_integer_brackets_match_fraction_sums(case, data):
     assert all(type(f) is Fraction and _is_reduced(f) for f in results)
 
 
+_DEEP_CASES = {
+    # Valuations stay small: reduced from residues mod the place modulus.
+    "kempner10": (kl.constant(10), kl.AllIndices(), {9}, 300),
+    "constant-12-{0}": (kl.constant(12), kl.AllIndices(), {0}, 300),
+    "constant-3-{1}": (kl.constant(3), kl.AllIndices(), {1}, 300),
+    "explicit-7-11-{3}": (kl.explicit([7, 11]), kl.AllIndices(), {3}, 300),
+    "power-6-{1}": (kl.power(6), kl.AllIndices(), {1}, 150),
+    "power-2-{0}": (kl.power(2), kl.AllIndices(), {0}, 150),
+    # below carries the primes of d: past the modulus, so math.gcd takes over.
+    "constant-10-arithmetic(1,3)-{0}": (kl.constant(10), kl.ArithmeticIndices(1, 3), {0}, 300),
+    "constant-10-powers-of-2-{0}": (kl.constant(10), kl.PowerIndices(2), {0}, 300),
+    "explicit-cycle-6-35-1001-{0}": (kl.explicit([6, 35, 1001], "cycle"), kl.AllIndices(), {0}, 300),
+    # No modulus: the factorial rule, and a prime quotient past the trial cap.
+    "factorial-powers-of-2-{0}": (kl.factorial(), kl.PowerIndices(2), {0}, 300),
+    "factorial-{0}": (kl.factorial(), kl.AllIndices(), {0}, 300),
+    "constant-65537-{0}": (kl.constant(65537), kl.AllIndices(), {0}, 100),
+    # Every other block empty (n = 0), and a prime with a two-digit modulus.
+    "explicit-cycle-3-7-{1,2}": (kl.explicit([3, 7], "cycle"), kl.AllIndices(), {1, 2}, 300),
+    "constant-65521-{0}": (kl.constant(65521), kl.AllIndices(), {0}, 100),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEEP_CASES), ids=list(_DEEP_CASES))
+def test_brackets_match_fraction_sums_at_depth(case):
+    seq, ix, default, max_k = _DEEP_CASES[case]
+    c = kl.make_constraint(seq, ix, default=default)
+    reports = kl.block_reports(c, max_k)
+    fields = ("k", "g_lo", "g_hi", "count", "bracket_lo", "bracket_hi", "cumulative_lo", "cumulative_hi")
+    assert [tuple(getattr(r, f) for f in fields) for r in reports] == _reference_reports(c, max_k)
+    assert all(_is_reduced(f) for r in reports for f in (r.bracket_lo, r.bracket_hi, r.cumulative_lo, r.cumulative_hi))
+    tail = kl.tail_lower_estimate(c, max_k // 3, max_k)
+    assert tail == _reference_tail_lower(c, max_k // 3, max_k) and _is_reduced(tail)
+
+
+def test_kempner10_brackets_take_no_full_size_gcd(kempner10, monkeypatch):
+    calls = []
+    gcd = math.gcd
+
+    def recording_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording_gcd)
+    kl.block_reports(kempner10, 505)
+    kl.tail_lower_estimate(kempner10, 0, 505)
+    assert calls
+    assert not [args for args in calls if sum(a.bit_length() > 256 for a in args) >= 2]
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     seq=st.one_of(st.builds(kl.power, st.integers(2, 3)), st.just(kl.factorial())),
