@@ -49,7 +49,7 @@ def _expect_int(doc: dict, key: str, path: str, required: bool = True) -> int | 
     return v
 
 
-def _decimal(text) -> int | None:
+def decimal_int(text) -> int | None:
     """text as an int when it is ASCII decimal digits and nothing else;
     int() would also read "+2", "1_0", " 5 " and non-ASCII digits."""
     return int(text) if isinstance(text, str) and text.isascii() and text.isdigit() else None
@@ -138,7 +138,7 @@ def _parse_constraint(doc, seq: QuotientSequence, path: str = "constraint") -> D
         raise ConfigInvalid(f"{path}.forbidden.overrides", "expected an object keyed by position")
     overrides = {}
     for key, val in overrides_doc.items():
-        i = _decimal(key)
+        i = decimal_int(key)
         if i is None:
             raise ConfigInvalid(f"{path}.forbidden.overrides.{key}", "keys must be decimal positions")
         if i in overrides:

@@ -4,10 +4,10 @@ Per-block reciprocal sums are bracketed exactly: every member of block k
 lies in [g_k, g_{k+1} - 1], so the block sum lies between |A_k|/g_{k+1}
 and |A_k|/g_k.  Brackets and tail estimates come from int numerators over
 the place values, not from running Fraction sums.  Where the quotients
-factor over small primes, those numerators are reduced from their residues
-modulo a small product of those primes (``_place_modulus``), not by
-full-size gcds.  Partial sums are exact rationals computed by block
-enumeration under a budget.
+factor over small primes, the running brackets are reduced from their
+residues modulo a small product of those primes (``_place_modulus``),
+not by full-size gcds.  Partial sums are exact rationals computed by
+block enumeration under a budget.
 
 Convergence or divergence verdicts come only from symbolically certified
 hypotheses over the closed rule algebra.  Two tests exist: for sequences
@@ -113,14 +113,12 @@ _TRIAL_CAP = 1 << 8  # trial divisors tried when factoring a quotient
 
 def _place_modulus(seq, positions: int) -> tuple[int, int] | None:
     """(M, M // rad M) for M = prod p**(c_p + 1) over the primes p of the
-    first ``positions`` quotients, c_p >= 1 and M < 2**30 where the primes
-    allow, from trial division below ``_TRIAL_CAP`` (of the power rule's
-    base).  None for the factorial rule or a quotient that does not factor so.
+    first ``positions`` quotients (the power rule's base), by trial division
+    below ``_TRIAL_CAP``: c_p >= 1, and M < 2**30 where the primes allow.
+    None for the factorial rule or a quotient that does not factor so.
 
     For g = prod p**e_p, gcd(x, g, M) = prod p**min(v_p(x), e_p, c_p + 1).
-    When it divides M // rad M, every p has v_p(x) <= c_p or e_p <= c_p, so
-    it is gcd(x, g), read from x % M and g % M alone.
-    """
+    When it divides M // rad M no exponent was cut off: it is gcd(x, g)."""
     if seq.kind == "factorial":
         return None
     primes = set()
@@ -139,14 +137,12 @@ def _place_modulus(seq, positions: int) -> tuple[int, int] | None:
 
 def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
     """BlockReports for k = 0..max_k with running cumulative brackets, in
-    ints: the count n over g_k and g_{k+1}, and the cumulative brackets as
-    numerators over g_{k+1} and g_k.
+    ints: below/g_k kept reduced as p/q (gcds with small operands only) and
+    the cumulative brackets as numerators over g_{k+1} and g_k.
 
-    Each fraction is reduced through ``_place_modulus``, with g mod M
-    carried along the rows.  From the first row where that cannot decide,
-    and for rules without such a modulus, the cumulative numerators take
-    ``math.gcd`` and the block brackets come from below/g_k kept reduced
-    as p/q, by gcds with one small operand."""
+    Each cumulative numerator is reduced through ``_place_modulus``, with
+    g mod M carried along the rows; where that cannot decide, and for rules
+    without such a modulus, it takes ``math.gcd``."""
     check_int(max_k, "max_k")
     if max_k < 0:
         raise InputOutOfRange(f"max_k must be nonnegative, got {max_k}")
@@ -158,32 +154,26 @@ def block_reports(constraint: DigitConstraint, max_k: int) -> list[BlockReport]:
     for k, (d, _, allowed, leading) in enumerate(rows(constraint, max_k + 1)[: max_k + 1]):
         g_hi = g * d
         n = below * leading
+        h = gcd(leading, q)
+        hi = (leading // h * p, q // h)  # n/g_k = leading * p/q
+        h = gcd(hi[0], d)
+        lo = (hi[0] // h, hi[1] * (d // h))
         cum_lo = cum_lo * d + n
         cum_hi = cum_hi * d_prev + n
         if modulus:
             gk, gm = gm, gm * d % modulus
-            r = n % modulus
-            h_lo, h_hi = (gcd(r, gm, modulus), gcd(r, gk, modulus)) if n else (g_hi, g)  # n = 0 gives 0/1
             a, b = gcd(cum_lo % modulus, gm, modulus), gcd(cum_hi % modulus, gk, modulus)
-            if n and (fits % h_lo or fits % h_hi) or fits % a or fits % b:
-                modulus = 0  # and from this row on below/g_k is kept as p/q
-                h = gcd(below, g)
-                p, q = below // h, g // h
-            else:
-                lo, hi = (n // h_lo, g_hi // h_lo), (n // h_hi, g // h_hi)
+            if fits % a or fits % b:
+                modulus = 0  # a valuation outgrew the modulus: full gcds from this row on
         if not modulus:
-            h = gcd(leading, q)
-            hi = (leading // h * p, q // h)  # n/g_k = leading * p/q
-            h = gcd(hi[0], d)
-            lo = (hi[0] // h, hi[1] * (d // h))
             a, b = gcd(cum_lo, g_hi), gcd(cum_hi, g)
-            # p/q times allowed/d: q/h keeps no factor of allowed/h; one gcd with d takes the rest
-            h = gcd(allowed, q)
-            p, q = p * (allowed // h), q // h
-            h = gcd(p, d)
-            p, q = p // h, q * (d // h)
         out.append(BlockReport(k, g, g_hi, n, from_coprime(*lo), from_coprime(*hi),
                                from_coprime(cum_lo // a, g_hi // a), from_coprime(cum_hi // b, g // b)))
+        # p/q times allowed/d: q/h keeps no factor of allowed/h; one gcd with d takes the rest
+        h = gcd(allowed, q)
+        p, q = p * (allowed // h), q // h
+        h = gcd(p, d)
+        p, q = p // h, q * (d // h)
         below *= allowed
         g, d_prev = g_hi, d
     return out
@@ -289,13 +279,7 @@ def tail_lower_estimate(constraint: DigitConstraint, k1: int, K: int) -> Fractio
         below *= allowed
         g *= d
         num = num * d + (below if k >= k1 and leading else 0)
-    modulus, fits = _place_modulus(constraint.sequence, K + 1) or (0, 0)
-    h = modulus and math.gcd(num % modulus, g % modulus, modulus)
-    if not h or fits % h:
-        h = math.gcd(num, g)
-    num, g = num // h, g // h
-    # num/g is reduced, so halving it leaves at most one factor 2 to cancel
-    return from_coprime(num >> 1, g) if num & 1 == 0 else from_coprime(num, 2 * g)
+    return Fraction(num, 2 * g)
 
 
 # --- bounded-quotient certificates ------------------------------------------

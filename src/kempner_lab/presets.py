@@ -7,7 +7,7 @@ Each preset is the canonical JSON document the config layer parses, so
 
 from __future__ import annotations
 
-from .config import _decimal
+from .config import decimal_int
 from .errors import ConfigInvalid
 
 
@@ -23,10 +23,17 @@ def _constant(d: int) -> dict:
     return {"kind": "constant", "d": d, "bound_hint": d}
 
 
+def _integer(text) -> int | None:
+    """text as an int when it is ASCII decimal digits after an optional
+    '-', so a negative value reaches the range check of its own field."""
+    sign = -1 if isinstance(text, str) and text.startswith("-") else 1
+    n = decimal_int(text[1:] if sign < 0 else text)
+    return None if n is None else sign * n
+
+
 def _int_param(params: dict, name: str, default: int) -> int:
-    """A parameter spelled as a config override key is: decimal digits only."""
     value = params.get(name, default)
-    out = value if type(value) is int else _decimal(value)
+    out = value if type(value) is int else _integer(value)
     if out is None:
         raise ConfigInvalid(f"params.{name}", f"expected an integer, got {value!r}")
     return out
@@ -45,9 +52,11 @@ def _fixed_bits(params: dict) -> dict:
         if not piece:
             continue
         pos, _, val = piece.partition(":")
-        pos, val = _decimal(pos), _decimal(val)
+        pos, val = _integer(pos), _integer(val)
         if pos is None or val is None:
             raise ConfigInvalid("params.bits", f"expected entries like '3:0', got {piece!r}")
+        if pos < 0:
+            raise ConfigInvalid("params.bits", f"a pinned position must be nonnegative, got {piece!r}")
         if val not in (0, 1):
             raise ConfigInvalid("params.bits", f"a pinned bit must be 0 or 1, got {piece!r}")
         if pos in bits:

@@ -791,7 +791,19 @@ def _doc(index_set=None, forbidden=None, **extra) -> dict:
         ),
         (
             ["member", "9", "--preset", "fixed-bits", "--param", "bits=-1:1"],
-            None, 1, "", "error: params.bits: expected entries like '3:0', got '-1:1'\n",
+            None, 1, "", "error: params.bits: a pinned position must be nonnegative, got '-1:1'\n",
+        ),
+        (
+            ["encode", "100", "--preset", "base-g-no-c", "--param", "g=-3"],
+            None, 1, "", "error: sequence: constant quotient must be >= 2, got -3\n",
+        ),
+        (
+            ["encode", "100", "--preset", "base-g-no-c", "--param", "c=-1"],
+            None, 1, "", "error: constraint: forbidden digits must be nonnegative, got -1\n",
+        ),
+        (
+            ["member", "9", "--preset", "fixed-bits", "--param", "bits=0:-1"],
+            None, 1, "", "error: params.bits: a pinned bit must be 0 or 1, got '0:-1'\n",
         ),
     ],
     ids=[
@@ -801,7 +813,8 @@ def _doc(index_set=None, forbidden=None, **extra) -> dict:
         "complement-inner-record", "constraint-not-object", "forbidden-not-object", "overrides-not-object",
         "default-outside-quotient", "delta-json-float", "top-level-not-object", "not-json", "sequence-missing",
         "params-not-object", "bits-empty-entry", "bits-not-int", "bits-none", "param-underscore", "param-plus",
-        "param-space", "bits-underscore", "bits-space", "bits-negative-position",
+        "param-space", "bits-underscore", "bits-space", "bits-negative-position", "param-negative-g",
+        "param-negative-c", "bits-negative-bit",
     ],
 )
 def test_input_errors_exit_with_one_line(capsys, tmp_path, argv, doc, code, out, err):
